@@ -70,7 +70,7 @@ from .polytope import (
     newton_polytope,
     zn_connected_components,
 )
-from .roots import aberth_roots_batch, fujiwara_bound, univariate_roots
+from .roots import aberth_roots_batch, univariate_roots
 
 __version__ = "0.1.0"
 

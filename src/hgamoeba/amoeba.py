@@ -22,7 +22,6 @@ from .polytope import facet_description, lattice_points, newton_polytope
 from .roots import aberth_roots_batch
 
 GENERIC_ANGLE = 0.4136  # fixed fiber angle for winding loops
-_LEAD_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -119,25 +118,21 @@ def adaptive_window(
 
 
 def _fiber_roots(coeff_rows: np.ndarray) -> np.ndarray:
-    """Roots per row, tolerating rows whose top coefficients vanish.
+    """Roots per row, NaN-padded to the common width.
 
-    Rows are grouped by effective degree; lost leading coefficients mean
-    roots escaped to infinity and are simply dropped (returned as NaN).
+    A row's degree is its highest exactly nonzero coefficient; rows are
+    solved in groups of equal degree.  Roots that do not converge, and the
+    slots above a row's degree, are NaN.
     """
     m, width = coeff_rows.shape
     out = np.full((m, width - 1), np.nan + 1j * np.nan, dtype=complex)
-    scale = np.abs(coeff_rows).max(axis=1)
-    ok = scale > 0
-    eff_deg = np.zeros(m, dtype=int)
-    for d in range(width - 1, 0, -1):
-        mask = ok & (eff_deg == 0) & (np.abs(coeff_rows[:, d]) > _LEAD_TOL * scale)
-        eff_deg[mask] = d
-    for d in np.unique(eff_deg):
+    nonzero = coeff_rows != 0
+    deg = np.where(nonzero.any(axis=1), width - 1 - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    for d in np.unique(deg):
         if d < 1:
             continue
-        rows = np.flatnonzero(eff_deg == d)
-        roots = aberth_roots_batch(coeff_rows[rows, : d + 1])
-        out[rows, :d] = roots
+        rows = np.flatnonzero(deg == d)
+        out[rows, :d] = aberth_roots_batch(coeff_rows[rows, : d + 1])
     return out
 
 
@@ -260,20 +255,14 @@ def component_order(p, xi: Sequence[float]) -> tuple[int, ...]:
     Each coordinate is the winding number of the polynomial along the torus
     loop that rotates one coordinate while the others stay at a fixed
     generic angle.  Sampling is refined until consecutive argument steps
-    stay below pi/2, making the count exact.
+    stay below pi/2, making the count exact.  Orders are those of the
+    polynomial as given: a monomial factor x^a adds a to every order.
     """
-    p = _shift_for_orders(p)
     xi = tuple(float(v) for v in xi)
     order = []
     for j in range(p.n):
         order.append(_winding(p, xi, j))
     return tuple(order)
-
-
-def _shift_for_orders(p):
-    # orders are computed for the polynomial as given; no support shift here,
-    # a monomial factor x^a would add a to every order vector
-    return p
 
 
 def _winding(p, xi: Sequence[float], j: int) -> int:

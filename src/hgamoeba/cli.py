@@ -89,7 +89,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FALSE
 
 
-def _analyze(args, need_orders: bool):
+def _analyze(args):
     p = io.polynomial_from_json(_read(args.polynomial))
     w = _parse_window(args, p)
     report = am.optimality_report(p, w)
@@ -125,7 +125,7 @@ def cmd_amoeba(args) -> int:
 
 
 def cmd_orders(args) -> int:
-    _, _, report = _analyze(args, need_orders=True)
+    _, _, report = _analyze(args)
     for c in report.components:
         kind = "bounded" if c.bounded else "unbounded"
         print(f"order {c.order}  {kind}  representative {c.representative}")
@@ -133,7 +133,7 @@ def cmd_orders(args) -> int:
 
 
 def cmd_optimal(args) -> int:
-    _, _, report = _analyze(args, need_orders=True)
+    _, _, report = _analyze(args)
     io.atomic_write_text(args.report, json.dumps(report.to_json_dict(), indent=2))
     if report.optimal is None:
         print("inconclusive: " + "; ".join(report.notes))

@@ -167,8 +167,9 @@ def aster_to_csv(rows) -> str:
 def cloud_to_csv(clouds) -> str:
     lines = ["r,u,v"]
     for cloud in clouds:
-        for u, v in cloud.points:
-            lines.append(f"{cloud.hadamard_order},{u!r},{v!r}")
+        r = float(cloud.hadamard_order)
+        for u, v in cloud.points.tolist():
+            lines.append(f"{r!r},{u!r},{v!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -140,14 +140,14 @@ def point_in_wca_gap(
 ) -> bool:
     """True iff the point's pixel lies in an unoccupied region of the WCA raster."""
     grid, (x0, x1, y0, y1) = wca_occupancy(cloud, P, resolution)
-    ix = int((float(point[0]) - x0) / (x1 - x0) * resolution)
-    iy = int((float(point[1]) - y0) / (y1 - y0) * resolution)
+    ix = math.floor((float(point[0]) - x0) / (x1 - x0) * resolution)
+    iy = math.floor((float(point[1]) - y0) / (y1 - y0) * resolution)
     if not (0 <= ix < resolution and 0 <= iy < resolution):
         return False
     return not grid[ix, iy]
 
 
-def containment_violation(cloud: MomentImagePointCloud, p, tol: float = 1e-9) -> float:
+def containment_violation(cloud: MomentImagePointCloud, p) -> float:
     """Largest violation of the Newton-polytope facet inequalities over the cloud."""
     P = newton_polytope(LaurentPolynomial(p.n, {e: 1 for e in p.terms}))
     worst = 0.0

@@ -255,6 +255,17 @@ def test_cli_wca_and_hadamard(tmp_path, p3_file):
     assert {ln.split(",")[0] for ln in lines[1:]} == {"1.0", "2.0"}
 
 
+def test_cli_csv_fields_are_numbers(tmp_path, p3_file):
+    for cmd, extra in (("wca", ["--format", "csv"]), ("hadamard", ["--r", "1,2,6"])):
+        out = tmp_path / f"{cmd}.csv"
+        argv = [cmd, p3_file, "-o", str(out), "--res", "60", "--angles", "64", *extra]
+        assert main(argv) == 0
+        header, *rows = out.read_text().strip().split("\n")
+        assert header == "r,u,v" and rows
+        for row in rows:
+            assert len([float(field) for field in row.split(",")]) == 3
+
+
 def test_cli_aster(tmp_path):
     out = tmp_path / "aster.csv"
     code = main([

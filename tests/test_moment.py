@@ -145,3 +145,12 @@ def test_dense_region_is_not_gap(p3_paper):
     # the centroid of the cloud lies in occupied territory
     cx, cy = cloud.points.mean(axis=0)
     assert not point_in_wca_gap(cloud, P, (cx, cy), resolution=80)
+
+
+def test_points_just_outside_the_box_are_not_gaps():
+    line = LP(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
+    cloud = rasterize_wca(line, small_window(half=5.0))
+    P = newton_polytope(line)
+    # the bounding box is [0, 1]^2; these lie a hair outside it
+    assert not point_in_wca_gap(cloud, P, (-0.001, 0.5))
+    assert not point_in_wca_gap(cloud, P, (0.5, -0.001))

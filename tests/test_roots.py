@@ -1,11 +1,12 @@
 """Univariate and batched simultaneous root finding."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgamoeba import aberth_roots_batch, fujiwara_bound, univariate_roots
+from hgamoeba import aberth_roots_batch, univariate_roots
 
 
 def test_linear():
@@ -59,11 +60,61 @@ def test_batch_zero_leading_coefficient_rejected():
         aberth_roots_batch(np.array([[1, 1, 0]], dtype=complex))
 
 
-def test_fujiwara_bound_dominates_roots():
+def backward_error(coeffs, z) -> float:
+    """|p(z)| / sum_k |c_k| |z|^k, evaluated exactly at the float z."""
+    with mpmath.workdps(60):
+        z = mpmath.mpc(complex(z))
+        terms = [mpmath.mpc(complex(a)) * z**k for k, a in enumerate(coeffs)]
+        return float(abs(mpmath.fsum(terms)) / mpmath.fsum(abs(t) for t in terms))
+
+
+def test_roots_meet_backward_error_bound():
     for c in ([6, -7, 0, 1], [-1, 0, 0, 0, 1], [1, 2, 3, 4, 5]):
-        bound = fujiwara_bound(np.array([c], dtype=complex))[0]
         roots = univariate_roots(c)
-        assert max(abs(z) for z in roots) <= bound + 1e-12
+        assert len(roots) == len(c) - 1
+        assert max(backward_error(c, z) for z in roots) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [8, 10, 12])
+def test_wide_coefficient_range_matches_mpmath(d):
+    """Coefficients spanning 1e-30..1e30: every root is returned, with a
+    small backward error, at the log-modulus mpmath finds."""
+    rng = np.random.default_rng(d)
+    mags = 10.0 ** rng.uniform(-30, 30, size=(6, d + 1))
+    coeffs = mags * np.exp(2j * np.pi * rng.random((6, d + 1)))
+    roots = aberth_roots_batch(coeffs)
+    assert roots.shape == (6, d)
+    assert np.isfinite(roots).all()
+    for row, got in zip(coeffs, roots):
+        assert max(backward_error(row, z) for z in got) <= 1e-12
+        with mpmath.workdps(30):
+            ref = mpmath.polyroots(
+                [mpmath.mpc(complex(a)) for a in row[::-1]],
+                maxsteps=200, extraprec=400, cleanup=False,
+            )
+            ref_logs = sorted(float(mpmath.log(abs(r))) for r in ref)
+        assert np.allclose(sorted(np.log(np.abs(got))), ref_logs, atol=1e-9)
+
+
+def test_huge_and_tiny_roots_together():
+    # z^5 overflows at the largest root; its digits must survive anyway
+    r = np.array([1e-120, 1e-40, 1.0, 1e40, 1e120])
+    got = np.sort(np.abs(aberth_roots_batch(np.poly(r)[::-1][None, :])[0]))
+    assert np.allclose(got / r, 1.0, rtol=1e-13)
+
+
+def test_unconvergeable_root_is_nan():
+    # the root of 1e300 + 1e-300 z is -1e600, beyond the float range
+    roots = aberth_roots_batch(np.array([[1e300, 1e-300], [1.0, 1.0]], dtype=complex))
+    assert np.isnan(roots[0, 0])
+    assert roots[1, 0] == pytest.approx(-1.0)
+
+
+def test_exact_zero_constant_terms_give_zero_roots():
+    roots = aberth_roots_batch(np.array([[0, 0, -4, 0, 1], [1, 0, -5, 0, 4]], dtype=complex))
+    assert roots[0, :2].tolist() == [0, 0]
+    assert sorted(np.real(roots[0, 2:])) == pytest.approx([-2, 2], abs=1e-12)
+    assert sorted(np.abs(roots[1])) == pytest.approx([0.5, 0.5, 1, 1], abs=1e-12)
 
 
 def test_determinism():

@@ -138,18 +138,30 @@ def _toeplitz_matrix(k: int) -> list[list[LaurentPolynomial]]:
 
 
 def _poly_det(rows: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
+    """Determinant by Laplace expansion along the rows, memoised on the columns left.
+
+    Expanding row i leaves the rows below it on some set of columns; that
+    minor depends only on the set, so each one is computed once.  A banded
+    matrix has few nonzero entries per row and hence few distinct sets.
+    """
     k = len(rows)
-    if k == 1:
-        return rows[0][0]
-    det = LaurentPolynomial.zero(2)
-    for j in range(k):
-        entry = rows[0][j]
-        if entry.is_zero():
-            continue
-        minor = [[r[m] for m in range(k) if m != j] for r in rows[1:]]
-        cof = entry * _poly_det(minor)
-        det = det + cof if j % 2 == 0 else det - cof
-    return det
+    memo: dict[tuple[int, ...], LaurentPolynomial] = {}
+
+    def minor(cols: tuple[int, ...]) -> LaurentPolynomial:
+        if not cols:
+            return LaurentPolynomial.constant(2, 1)
+        if cols not in memo:
+            row = rows[k - len(cols)]
+            det = LaurentPolynomial.zero(2)
+            for i, c in enumerate(cols):
+                if row[c].is_zero():
+                    continue
+                cof = row[c] * minor(cols[:i] + cols[i + 1:])
+                det = det + cof if i % 2 == 0 else det - cof
+            memo[cols] = det
+        return memo[cols]
+
+    return minor(tuple(range(k)))
 
 
 def toeplitz_chebyshev(k: int, convention: str = "first") -> LaurentPolynomial:

@@ -8,11 +8,12 @@ telescoping, and exact symbolic application of the operators.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
-from typing import Iterable, Sequence
+from math import factorial, gcd, prod
+from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .laurent import LaurentPolynomial, require_exact
@@ -24,6 +25,7 @@ from .polytope import (
 )
 
 IntVec = tuple[int, ...]
+AffineFactor = tuple[IntVec, Fraction]  # (A, c): the form <A, theta> + c
 
 
 @dataclass(frozen=True)
@@ -173,8 +175,6 @@ def polynomial_from_coefficient(
     phi: OreSatoCoefficient, lo: Sequence[int], hi: Sequence[int]
 ) -> LaurentPolynomial:
     """Polynomial with coefficients phi(s) over an integer box scan."""
-    import itertools
-
     ranges = [range(int(a), int(b) + 1) for a, b in zip(lo, hi)]
     terms = {}
     for s in itertools.product(*ranges):
@@ -212,44 +212,60 @@ def _affine(n: int, A: Sequence[int], c: Fraction) -> LaurentPolynomial:
     return LaurentPolynomial(n, terms)
 
 
-def horn_system(phi: OreSatoCoefficient) -> HornSystem:
-    """Operator pairs (P_j, Q_j) from Gamma-quotient telescoping.
+def _telescoped_factors(
+    phi: OreSatoCoefficient,
+) -> tuple[tuple[tuple[AffineFactor, ...], tuple[AffineFactor, ...]], ...]:
+    """The affine factors (A, c), meaning <A, theta> + c, of each pair (P_j, Q_j).
 
     For each factor Gamma(<A,s>+c)^sigma and direction j with d = A_j, the
     quotient Gamma(<A,s>+d+c)/Gamma(<A,s>+c) contributes a telescoping
     product of |d| affine factors to P_j or to Q_j (written in the shifted
     variable so that the quotient reads P_j(s)/Q_j(s+e_j)).  Affine factors
     of the rational part telescope the same way, a numerator form L acting
-    as Gamma(L) and a denominator form M as 1/Gamma(M+1), which reproduces
-    the annihilator operators for generic supports.
+    as Gamma(L) and a denominator form M as 1/Gamma(M+1).  The exponential
+    part is not a factor: it scales P_j by a constant.
     """
-    n = phi.n
-    if len(phi.factors) + len(phi.rational_num) + len(phi.rational_den) < n:
-        raise DomainError("need at least n factors for a holonomic Horn system")
     effective = list(phi.factors)
     effective += [GammaFactor(f.A, f.c, 1) for f in phi.rational_num]
     effective += [GammaFactor(f.A, f.c + 1, -1) for f in phi.rational_den]
 
-    pairs = []
-    for j in range(n):
-        P = LaurentPolynomial.constant(n, 1)
-        Q = LaurentPolynomial.constant(n, 1)
+    out = []
+    for j in range(phi.n):
+        P: list[AffineFactor] = []
+        Q: list[AffineFactor] = []
         for f in effective:
             d = f.A[j]
-            if d == 0:
-                continue
             if f.sign == 1 and d > 0:
-                for ell in range(d):
-                    P = P * _affine(n, f.A, f.c + ell)
+                P += [(f.A, f.c + ell) for ell in range(d)]
             elif f.sign == 1 and d < 0:
-                for ell in range(-d):
-                    Q = Q * _affine(n, f.A, f.c + ell)
+                Q += [(f.A, f.c + ell) for ell in range(-d)]
             elif f.sign == -1 and d > 0:
-                for ell in range(d):
-                    Q = Q * _affine(n, f.A, f.c - d + ell)
-            else:  # sign == -1, d < 0
-                for ell in range(-d):
-                    P = P * _affine(n, f.A, f.c + d + ell)
+                Q += [(f.A, f.c - d + ell) for ell in range(d)]
+            elif f.sign == -1 and d < 0:
+                P += [(f.A, f.c + d + ell) for ell in range(-d)]
+        out.append((tuple(P), tuple(Q)))
+    return tuple(out)
+
+
+def horn_system(phi: OreSatoCoefficient) -> HornSystem:
+    """Operator pairs (P_j, Q_j) from Gamma-quotient telescoping.
+
+    Each P_j and Q_j is the expanded product of the affine factors listed by
+    :func:`_telescoped_factors`, P_j times the exponential part t_j if
+    there is one.  This reproduces the annihilator operators for generic
+    supports.
+    """
+    n = phi.n
+    if len(phi.factors) + len(phi.rational_num) + len(phi.rational_den) < n:
+        raise DomainError("need at least n factors for a holonomic Horn system")
+    pairs = []
+    for j, (p_factors, q_factors) in enumerate(_telescoped_factors(phi)):
+        P = LaurentPolynomial.constant(n, 1)
+        Q = LaurentPolynomial.constant(n, 1)
+        for A, c in p_factors:
+            P = P * _affine(n, A, c)
+        for A, c in q_factors:
+            Q = Q * _affine(n, A, c)
         if phi.exponential is not None:
             P = P * Fraction(phi.exponential[j])
         pairs.append((P, Q))
@@ -292,7 +308,7 @@ def is_horn_solution(
         return True
     if not up_to_monomial or p.is_zero() or isinstance(phi, HornSystem):
         return False
-    for gamma in _candidate_shifts(p, phi, H):
+    for gamma in _candidate_shifts(p, phi):
         if _solves_exactly(p.shift(gamma), H):
             return True
     return False
@@ -302,55 +318,181 @@ def _solves_exactly(p: LaurentPolynomial, H: HornSystem) -> bool:
     return all(apply_horn_operator(p, j, H).is_zero() for j in range(H.n))
 
 
-def _candidate_shifts(
-    p: LaurentPolynomial, phi: OreSatoCoefficient, H: HornSystem
-) -> Iterable[IntVec]:
-    """Integer shifts worth testing, cheapest-necessary-condition first.
+def _candidate_shifts(p: LaurentPolynomial, phi: OreSatoCoefficient) -> list[IntVec]:
+    """Nonzero integer shifts gamma for which x^gamma p satisfies the recurrences.
 
-    The telescoped factors vanish only within a bounded distance of the
-    support (bounded by the factor offsets and norms), so shifts outside
-    that box cannot create new solutions.  One adjacent coefficient pair
-    per direction serves as a fast filter before the full operator check.
+    x^gamma p solves the system iff, in every direction j and at every s,
+    a_s P_j(s+gamma) = a_{s+e_j} Q_j(s+e_j+gamma), with a = 0 off the
+    support.  Since P_j and Q_j are products of affine factors, this gives
+    two necessary conditions, each a union of hyperplanes in gamma:
+
+    * Q_j(t+gamma) = 0 at every lower end t of the support in direction j
+      (t - e_j is not in the support);
+    * P_j(s+gamma) = 0 at every upper end s (s + e_j is not in the support).
+
+    The lex-minimal support point is a lower end and the lex-maximal one an
+    upper end in every direction, so their 2n conditions come first.  All
+    end conditions together cut gamma-space into affine subspaces; of these,
+    the integer points inside the box |gamma_k| <= span + max|c| +
+    max||A||_1 + 2 that also meet the recurrence between adjacent support
+    points are returned in lex order.  The box limits the search: a solving
+    shift outside it is not found.
     """
-    import itertools
-
     n = p.n
-    lo = [min(e[k] for e in p.terms) for k in range(n)]
-    hi = [max(e[k] for e in p.terms) for k in range(n)]
-    span = max(h - l for l, h in zip(lo, hi))
-    forms = list(phi.factors) + [
-        GammaFactor(f.A, f.c, 1) for f in phi.rational_num
-    ] + [GammaFactor(f.A, f.c, -1) for f in phi.rational_den]
-    if not forms:
-        return
+    support = sorted(p.terms)
+    span = max(max(e[k] for e in support) - min(e[k] for e in support) for k in range(n))
+    forms = list(phi.factors) + list(phi.rational_num) + list(phi.rational_den)
     c_bound = max(abs(f.c) for f in forms)
     a_bound = max(sum(abs(a) for a in f.A) for f in forms)
     radius = int(span + c_bound + a_bound + 2)
 
-    # one adjacent support pair per direction as a necessary condition
-    probes = []
-    for j in range(n):
-        P, Q = H.pairs[j]
-        for s in sorted(p.terms):
-            up = tuple(e + (1 if k == j else 0) for k, e in enumerate(s))
-            if up in p.terms:
-                probes.append((j, s, up, p.terms[s], p.terms[up]))
-                break
+    factors = _telescoped_factors(phi)
+    conditions = [_hyperplanes(q, support[0]) for _, q in factors]
+    conditions += [_hyperplanes(pf, support[-1]) for pf, _ in factors]
+    for j, (pf, q) in enumerate(factors):
+        for s in support:
+            if _step(s, j, -1) not in p.terms:
+                conditions.append(_hyperplanes(q, s))
+            if _step(s, j, 1) not in p.terms:
+                conditions.append(_hyperplanes(pf, s))
+    pairs = _adjacent_pairs(p, phi, factors)
+    found = {
+        gamma
+        for rows in _cut(n, list(dict.fromkeys(conditions)))
+        for gamma in _integer_points(n, rows, radius)
+        if _pairs_hold(pairs, gamma)
+    }
+    found.discard((0,) * n)
+    return sorted(found)
 
-    rng = range(-radius, radius + 1)
-    for gamma in itertools.product(rng, repeat=n):
-        if all(g == 0 for g in gamma):
-            continue
-        ok = True
-        for j, s, up, a, b in probes:
-            P, Q = H.pairs[j]
-            sg = tuple(e + g for e, g in zip(s, gamma))
-            ug = tuple(e + g for e, g in zip(up, gamma))
-            if a * P.evaluate_exact(sg) != b * Q.evaluate_exact(ug):
-                ok = False
+
+Hyperplane = tuple[int, ...]  # (a_1, ..., a_n, r): <a, gamma> = r, primitive, first a_k > 0
+Subspace = tuple[Hyperplane, ...]  # reduced row echelon form; () is the whole space
+
+
+def _hyperplanes(factors: Sequence[AffineFactor], t: IntVec) -> frozenset[Hyperplane]:
+    """The hyperplanes of gamma with integer points on which a factor vanishes at t + gamma."""
+    out = set()
+    for A, c in factors:
+        a = [x * c.denominator for x in A]
+        r = -c.numerator - sum(x * y for x, y in zip(a, t))
+        if r % gcd(*a) == 0:
+            out.add(_primitive(a + [r]))
+    return frozenset(out)
+
+
+def _cut(n: int, conditions: Sequence[frozenset[Hyperplane]]) -> set[Subspace]:
+    """Affine subspaces whose union is the set of gammas meeting every condition.
+
+    A subspace that lies in one hyperplane of a condition is kept whole;
+    otherwise it is split into its intersections with the hyperplanes.  Rows
+    are reduced fraction-free, in exact integers.
+    """
+    spaces: set[Subspace] = {()}
+    for planes in conditions:
+        cut: set[Subspace] = set()
+        for rows in spaces:
+            pieces = []
+            for h in planes:
+                v = _reduce(rows, h)
+                if any(v[:n]):
+                    pieces.append(_add_row(rows, v, n))
+                elif v[n] == 0:  # rows lie in h
+                    pieces = [rows]
+                    break
+            cut.update(pieces)
+        spaces = cut
+    return spaces
+
+
+def _reduce(rows: Subspace, h: Hyperplane) -> list[int]:
+    """h with every pivot column of rows eliminated (up to a nonzero factor)."""
+    v = list(h)
+    for row in rows:
+        k = _pivot(row)
+        if v[k]:
+            f, g = row[k], v[k]
+            v = [x * f - g * y for x, y in zip(v, row)]
+    return v
+
+
+def _add_row(rows: Subspace, v: list[int], n: int) -> Subspace:
+    """Echelon form of rows plus v, where v is reduced by rows and nonzero in its first n."""
+    v = _primitive(v)
+    k = _pivot(v)
+    out = [
+        _primitive([x * v[k] - row[k] * y for x, y in zip(row, v)]) if row[k] else row
+        for row in rows
+    ]
+    out.append(v)
+    return tuple(sorted(out, key=_pivot))
+
+
+def _primitive(v: list[int]) -> Hyperplane:
+    g = gcd(*v)
+    if v[_pivot(v)] < 0:
+        g = -g
+    return tuple(x // g for x in v)
+
+
+def _pivot(row: Sequence[int]) -> int:
+    return next(k for k, x in enumerate(row) if x)
+
+
+def _integer_points(n: int, rows: Subspace, radius: int) -> Iterator[IntVec]:
+    """Integer points of the subspace with every coordinate in [-radius, radius]."""
+    pivots = [_pivot(row) for row in rows]
+    free = [k for k in range(n) if k not in pivots]
+    for values in itertools.product(range(-radius, radius + 1), repeat=len(free)):
+        gamma = [0] * n
+        for k, x in zip(free, values):
+            gamma[k] = x
+        for k, row in zip(pivots, rows):
+            x, rem = divmod(row[n] - sum(row[f] * gamma[f] for f in free), row[k])
+            if rem or abs(x) > radius:
                 break
-        if ok:
-            yield gamma
+            gamma[k] = x
+        else:
+            yield tuple(gamma)
+
+
+def _adjacent_pairs(p: LaurentPolynomial, phi: OreSatoCoefficient, factors):
+    """The recurrence between support points s, s + e_j, in integers.
+
+    Each entry (P, Q, s, s + e_j, a, b) asks a * prod P(s+gamma) =
+    b * prod Q(s+e_j+gamma).  Coefficients are scaled to integers and every
+    factor <A, x> + c to the integer form <d A, x> + d c, d the denominator
+    of c; the constants dropped that way, and the exponential part, go
+    into a and b.
+    """
+    coeffs = {s: int(c) for s, c in p.scaled_to_integers().terms.items()}
+    out = []
+    for j, (p_factors, q_factors) in enumerate(factors):
+        P = [(tuple(a * c.denominator for a in A), c.numerator) for A, c in p_factors]
+        Q = [(tuple(a * c.denominator for a in A), c.numerator) for A, c in q_factors]
+        t = Fraction(1) if phi.exponential is None else phi.exponential[j]
+        p_weight = t.numerator * prod(c.denominator for _, c in q_factors)
+        q_weight = t.denominator * prod(c.denominator for _, c in p_factors)
+        for s, a in coeffs.items():
+            up = _step(s, j, 1)
+            if up in coeffs:
+                out.append((P, Q, s, up, a * p_weight, coeffs[up] * q_weight))
+    return out
+
+
+def _pairs_hold(pairs, gamma: IntVec) -> bool:
+    return all(
+        a * _product(P, s, gamma) == b * _product(Q, up, gamma)
+        for P, Q, s, up, a, b in pairs
+    )
+
+
+def _step(s: IntVec, j: int, d: int) -> IntVec:
+    return s[:j] + (s[j] + d,) + s[j + 1:]
+
+
+def _product(forms, s: IntVec, gamma: IntVec) -> int:
+    return prod(sum(a * (x + g) for a, x, g in zip(A, s, gamma)) + c for A, c in forms)
 
 
 def coefficient_recurrence_check(

@@ -191,7 +191,7 @@ class LaurentPolynomial:
         if len(s) != self.n:
             raise ValueError("point dimension mismatch")
         total = Fraction(0)
-        for exp, c in self.sorted_terms():
+        for exp, c in self.terms.items():  # an exact sum does not depend on the order
             mono = Fraction(1)
             for v, e in zip(s, exp):
                 if e == 0:
@@ -341,9 +341,15 @@ class ComplexLaurentPolynomial:
         )
 
     def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative polynomial powers are not defined")
         result = ComplexLaurentPolynomial(self.n, {(0,) * self.n: 1})
-        for _ in range(k):
-            result = result * self
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base if k > 1 else base
+            k >>= 1
         return result
 
     def evaluate(self, x: Iterable[complex]) -> complex:

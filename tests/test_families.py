@@ -150,6 +150,38 @@ def test_toeplitz_small_cases():
     assert toeplitz_chebyshev(3, "first") == x ** 3 - 2 * x * y + 1
 
 
+def _cofactor_det(rows):
+    """Reference determinant: plain cofactor expansion along the first row."""
+    k = len(rows)
+    if k == 1:
+        return rows[0][0]
+    det = LP.zero(2)
+    for j in range(k):
+        if rows[0][j].is_zero():
+            continue
+        minor = [[r[m] for m in range(k) if m != j] for r in rows[1:]]
+        cof = rows[0][j] * _cofactor_det(minor)
+        det = det + cof if j % 2 == 0 else det - cof
+    return det
+
+
+@pytest.mark.parametrize("convention", ["first", "last"])
+def test_toeplitz_matches_cofactor_expansion(convention):
+    x, y, one = LP.variable(2, 0), LP.variable(2, 1), LP.constant(2, 1)
+    band = {0: x, 1: y, -1: one, 2: one}
+    for k in range(1, 10):
+        cols = range(k) if convention == "first" else range(1, k + 1)
+        rows = [[band.get(j - i, LP.zero(2)) for j in cols] for i in range(k)]
+        ref = _cofactor_det(rows)
+        assert toeplitz_chebyshev(k, convention) == ref, k
+        # the dense form still maps back onto the reference minor
+        q = chebyshev_dense(k, convention).monomial_substitution([[1, 1], [-1, 2]])
+        shift = tuple(
+            min(e[d] for e in ref.terms) - min(e[d] for e in q.terms) for d in range(2)
+        )
+        assert q.shift(shift) == ref, k
+
+
 def test_toeplitz_bad_arguments():
     with pytest.raises(ValueError):
         toeplitz_chebyshev(0)

@@ -1,13 +1,15 @@
 """Ore-Sato coefficients, canonical polytope coefficients and Horn systems."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from hgamoeba import (
+    DegeneratePolytopeError,
     DomainError,
     GammaFactor,
     LatticeSupport,
@@ -258,6 +260,151 @@ def test_reciprocal_ratio_consistency_on_grid(phi0):
                 assert phi0.value_at(s) * P.evaluate_exact(s) == (
                     phi0.value_at(up) * Q.evaluate_exact(up)
                 )
+
+
+# -- the shift search against a brute-force scan ----------------------------
+
+
+def box_scan_shifts(p, phi, H):
+    """Brute-force shift search: every nonzero gamma in the box |gamma_k| <= r.
+
+    r = span + max|c| + max||A||_1 + 2.  One adjacent coefficient pair per
+    direction filters the shifts before the exact check.
+    """
+    n = p.n
+    span = max(
+        max(e[k] for e in p.terms) - min(e[k] for e in p.terms) for k in range(n)
+    )
+    forms = list(phi.factors) + list(phi.rational_num) + list(phi.rational_den)
+    c_bound = max(abs(f.c) for f in forms)
+    a_bound = max(sum(abs(a) for a in f.A) for f in forms)
+    radius = int(span + c_bound + a_bound + 2)
+
+    probes = []
+    for j in range(n):
+        for s in sorted(p.terms):
+            up = tuple(e + (k == j) for k, e in enumerate(s))
+            if up in p.terms:
+                probes.append((j, s, up, p.terms[s], p.terms[up]))
+                break
+    for gamma in itertools.product(range(-radius, radius + 1), repeat=n):
+        if not any(gamma):
+            continue
+        if all(
+            a * H.pairs[j][0].evaluate_exact([e + g for e, g in zip(s, gamma)])
+            == b * H.pairs[j][1].evaluate_exact([e + g for e, g in zip(up, gamma)])
+            for j, s, up, a, b in probes
+        ):
+            yield gamma
+
+
+def oracle_is_solution(p, phi):
+    """is_horn_solution's verdict, with the shift search done by the box scan."""
+    H = horn_system(phi)
+    # against a bare HornSystem, is_horn_solution is the exact check alone
+    if is_horn_solution(p, H):
+        return True
+    return any(is_horn_solution(p.shift(g), H) for g in box_scan_shifts(p, phi, H))
+
+
+def _psi_instance(verts, numerator):
+    """psi of the polygon with its polynomial, or the numerator-Gamma form of both.
+
+    Gamma(1 - L) in place of 1/Gamma(L) changes the quotient in direction j
+    by (-1)^{A_j} per factor, so the solution's coefficients change by
+    (-1)^{<w, s>} with w the sum of the factors' A.
+    """
+    P = facet_description(verts)
+    phi = psi_from_polytope(P)
+    terms = {s: psi_coefficient(P, s) for s in lattice_points(P).points}
+    if numerator:
+        w = [sum(f.A[k] for f in phi.factors) for k in range(P.n)]
+        terms = {
+            s: c * (-1) ** (sum(a * x for a, x in zip(w, s)) % 2)
+            for s, c in terms.items()
+        }
+        phi = OreSatoCoefficient(P.n, tuple(
+            GammaFactor(tuple(-a for a in f.A), 1 - f.c, 1) for f in phi.factors
+        ))
+    return LP(P.n, terms), phi
+
+
+points_2d = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+
+@st.composite
+def horn_cases(draw):
+    """A 2-D polynomial and coefficient: (psi | annihilator | numerator) x
+    (shifted | perturbed | widened)."""
+    kind = draw(st.sampled_from(["psi", "annihilator", "numerator"]))
+    if kind == "annihilator":
+        pts = draw(st.sets(points_2d, min_size=1, max_size=5))
+        coeffs = draw(st.lists(
+            st.fractions(-9, 9, max_denominator=5).filter(bool),
+            min_size=len(pts), max_size=len(pts),
+        ))
+        p = LP(2, dict(zip(sorted(pts), coeffs)))
+        phi = annihilator_for_support(LatticeSupport.of(2, pts))
+    else:
+        verts = draw(st.lists(points_2d, min_size=3, max_size=5))
+        try:
+            p, phi = _psi_instance(verts, kind == "numerator")
+        except DegeneratePolytopeError:
+            assume(False)
+        assert is_horn_solution(p, phi, up_to_monomial=False)
+    q = p.shift(draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3))))
+    mode = draw(st.sampled_from(["shifted", "perturbed", "widened"]))
+    if mode == "perturbed":
+        e = draw(st.sampled_from(sorted(q.terms)))
+        q = q + LP(2, {e: draw(st.fractions(1, 5, max_denominator=3).filter(bool))})
+    elif mode == "widened":
+        top = max(q.terms)
+        q = q + LP(2, {(top[0] + draw(st.integers(0, 1)), top[1] + 1): 1})
+    return q, phi
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None)
+@given(horn_cases())
+def test_shift_search_agrees_with_box_scan(case):
+    q, phi = case
+    assert is_horn_solution(q, phi) == oracle_is_solution(q, phi)
+
+
+def test_box_scan_oracle_finds_the_fixture_shift(phi_two_lines):
+    p = LP(2, {(1, 0): 1, (0, 1): 1, (1, 1): 6, (2, 2): 1})
+    H = horn_system(phi_two_lines)
+    assert (-3, -2) in set(box_scan_shifts(p.shift((3, 2)), phi_two_lines, H))
+    assert oracle_is_solution(p.shift((3, 2)), phi_two_lines)
+    assert not oracle_is_solution(p.shift((3, 2)) + LP(2, {(4, 3): 1}), phi_two_lines)
+
+
+def _cross(n, center=1):
+    return [
+        tuple(center + (d if j == k else 0) for j in range(n))
+        for k in range(n) for d in (1, -1)
+    ]
+
+
+HIGHER_DIM_POLYTOPES = {
+    "cross3": _cross(3),
+    "box4": [tuple(v) for v in itertools.product((0, 1), (0, 2), (0, 1), (0, 1))],
+    "simplex4": [(0, 0, 0, 0)] + [tuple(3 * (j == k) for j in range(4)) for k in range(4)],
+    # the boundary cuts leave lines of candidate shifts here
+    "cross4": _cross(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HIGHER_DIM_POLYTOPES))
+def test_shifted_psi_polynomials_in_3d_and_4d(name):
+    P = facet_description(HIGHER_DIM_POLYTOPES[name])
+    phi = psi_from_polytope(P)
+    p = hypergeometric_polynomial(P)
+    for gamma in ((2, -1, 1, -2), (-1, 0, 3, 1)):
+        shifted = p.shift(gamma[:P.n])
+        assert is_horn_solution(shifted, phi), gamma
+        middle = sorted(shifted.terms)[len(shifted.terms) // 2]
+        assert not is_horn_solution(shifted + LP(P.n, {middle: 1}), phi), gamma
 
 
 # -- annihilators ---------------------------------------------------------

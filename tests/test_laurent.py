@@ -109,6 +109,17 @@ def test_substitution_power():
     assert q == p * p
 
 
+def test_complex_power_matches_repeated_product():
+    # small integer parts keep every product exact in floating point
+    p = ComplexLaurentPolynomial(2, {(1, 0): 1 + 2j, (0, 1): -3, (-1, 1): 2j})
+    ref = ComplexLaurentPolynomial(2, {(0, 0): 1})
+    for k in range(8):
+        assert (p ** k).terms == ref.terms, k
+        ref = ref * p
+    with pytest.raises(ValueError):
+        p ** -1
+
+
 def test_substitution_singular_rejected():
     with pytest.raises(InvalidTransformError):
         x_plus_y().monomial_substitution([[1, 1], [1, 1]])

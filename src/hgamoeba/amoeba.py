@@ -1,9 +1,12 @@
 """Amoeba rasterization, complement components, orders and optimality.
 
-The raster works column by column: fix the modulus of one coordinate, sweep
-a ring of angles, solve the fiber polynomial in the other coordinate and
-mark the log-moduli of the roots.  Both coordinate roles are swept and the
-union dilated by one pixel to close sampling gaps.
+One fiber sweep samples the zero locus column by column: fix the modulus of
+one coordinate, sweep a ring of angles, solve the fiber polynomial in the
+other coordinate and take the log-moduli of the roots; both coordinate roles
+are swept.  The sweep has two views.  The amoeba raster here bins the samples
+into pixels and dilates the union by one pixel to close sampling gaps; the
+compactified amoeba (``moment.rasterize_wca``) maps the same samples through
+the moment map.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,6 +26,8 @@ from .polytope import facet_description, lattice_points, newton_polytope
 from .roots import aberth_roots_batch
 
 GENERIC_ANGLE = 0.4136  # fixed fiber angle for winding loops
+DILATION_PIXELS = 1  # sampling-gap closing of the amoeba and WCA rasters
+FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
 
 @dataclass(frozen=True)
@@ -32,7 +38,6 @@ class LogWindow:
     y_max: float
     resolution: int = 400
     angular_samples: int = 512
-    dilation_radius: int = 1
 
     def __post_init__(self):
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
@@ -41,12 +46,6 @@ class LogWindow:
             raise ValueError("resolution must be at least 16")
         if self.angular_samples < 64:
             raise ValueError("angular_samples must be at least 64")
-
-    def with_resolution(self, resolution: int) -> "LogWindow":
-        return LogWindow(
-            self.x_min, self.x_max, self.y_min, self.y_max,
-            resolution, self.angular_samples, self.dilation_radius,
-        )
 
     def pixel_center(self, ix: int, iy: int) -> tuple[float, float]:
         dx = (self.x_max - self.x_min) / self.resolution
@@ -58,6 +57,11 @@ class LogWindow:
 class AmoebaRaster:
     window: LogWindow
     grid: np.ndarray  # bool, [ix, iy], True = amoeba pixel
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """4-connected labels of the non-amoeba pixels (0 = amoeba)."""
+        return ndimage.label(~self.grid, structure=FOUR_CONNECTED)[0]
 
 
 @dataclass
@@ -146,14 +150,16 @@ def rasterize_amoeba(p, w: LogWindow) -> AmoebaRaster:
         newton_polytope(_as_exact_support(p))
     except Exception as exc:
         raise DomainError(f"degenerate support: {exc}") from exc
-    p = _shift_nonnegative(p)
 
     res = w.resolution
     grid = np.zeros((res, res), dtype=bool)
-    for axis in (0, 1):
-        _sweep(p, w, grid, axis)
-    if w.dilation_radius > 0:
-        grid = ndimage.binary_dilation(grid, iterations=w.dilation_radius)
+    v_bounds = ((w.y_min, w.y_max), (w.x_min, w.x_max))
+    for axis, i, _, vals in _sweep(p, w):
+        v_min, v_max = v_bounds[axis]
+        iv = np.floor((vals - v_min) / ((v_max - v_min) / res)).astype(int)
+        iv = iv[(iv >= 0) & (iv < res)]
+        (grid if axis == 0 else grid.T)[i, iv] = True
+    grid = ndimage.binary_dilation(grid, iterations=DILATION_PIXELS)
     return AmoebaRaster(w, grid)
 
 
@@ -161,54 +167,48 @@ def _as_exact_support(p) -> LaurentPolynomial:
     return LaurentPolynomial(p.n, {e: 1 for e in p.terms})
 
 
-def _sweep(p, w: LogWindow, grid: np.ndarray, axis: int) -> None:
-    res, m_ang = w.resolution, w.angular_samples
-    if axis == 0:
-        u_min, u_max, v_min, v_max = w.x_min, w.x_max, w.y_min, w.y_max
-    else:
-        u_min, u_max, v_min, v_max = w.y_min, w.y_max, w.x_min, w.x_max
-    exps, coeffs = _term_arrays(p)
-    su = exps[:, axis].astype(int)
-    sv = exps[:, 1 - axis].astype(int)
-    deg = int(sv.max())
-    if deg == 0:
-        return
-    # indicator matrix: term -> fiber-polynomial coefficient slot
-    M = np.zeros((len(coeffs), deg + 1), dtype=float)
-    M[np.arange(len(coeffs)), sv] = 1.0
+def _sweep(p, w: LogWindow):
+    """The fiber sweep of the zero locus, one pixel column at a time.
 
-    angles = 2.0 * np.pi * (np.arange(m_ang) + 0.5) / m_ang
-    du = (u_max - u_min) / res
-    dv = (v_max - v_min) / res
+    For each axis and each column of that coordinate, at log-modulus u, yields
+    (axis, column, u, finite log-moduli of the fiber roots in the other
+    coordinate) over the window's ring of angles.  A generator, so that the
+    raster never holds more than one column of samples.
+    """
+    exps, coeffs = _term_arrays(_shift_nonnegative(p))
+    angles = 2.0 * np.pi * (np.arange(w.angular_samples) + 0.5) / w.angular_samples
     log_c = np.log(np.abs(coeffs)) + 1j * np.angle(coeffs)
-    for i in range(res):
-        xi = u_min + (i + 0.5) * du
-        log_x = xi + 1j * angles  # (m_ang,)
-        # normalize per row in log space: huge coefficient ranges would
-        # otherwise overflow exp and poison the fiber polynomials
-        log_w = np.outer(log_x, su) + log_c  # (m_ang, terms)
-        weights = np.exp(log_w - log_w.real.max(axis=1, keepdims=True))
-        fiber = weights @ M  # (m_ang, deg+1)
-        roots = _fiber_roots(fiber)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logabs = np.log(np.abs(roots))
-        vals = logabs[np.isfinite(logabs)]
-        iv = np.floor((vals - v_min) / dv).astype(int)
-        iv = iv[(iv >= 0) & (iv < res)]
-        if axis == 0:
-            grid[i, iv] = True
-        else:
-            grid[iv, i] = True
+    u_bounds = ((w.x_min, w.x_max), (w.y_min, w.y_max))
+    for axis in (0, 1):
+        u_min, u_max = u_bounds[axis]
+        su = exps[:, axis].astype(int)
+        sv = exps[:, 1 - axis].astype(int)
+        deg = int(sv.max())
+        if deg == 0:
+            continue
+        # indicator matrix: term -> fiber-polynomial coefficient slot
+        M = np.zeros((len(coeffs), deg + 1), dtype=float)
+        M[np.arange(len(coeffs)), sv] = 1.0
+        du = (u_max - u_min) / w.resolution
+        for i in range(w.resolution):
+            u = u_min + (i + 0.5) * du
+            # normalize per row in log space: huge coefficient ranges would
+            # otherwise overflow exp and poison the fiber polynomials
+            log_w = np.outer(u + 1j * angles, su) + log_c  # (angles, terms)
+            weights = np.exp(log_w - log_w.real.max(axis=1, keepdims=True))
+            roots = _fiber_roots(weights @ M)  # (angles, deg)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logabs = np.log(np.abs(roots))
+            yield axis, i, u, logabs[np.isfinite(logabs)]
 
 
 def complement_components(r: AmoebaRaster) -> list[ComplementComponent]:
     """4-connected components of the non-amoeba pixels, deepest pixel first."""
     free = ~r.grid
-    structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    labels, count = ndimage.label(free, structure=structure)
+    labels = r.labels
     dist = ndimage.distance_transform_edt(free)
     comps = []
-    for lab in range(1, count + 1):
+    for lab in range(1, int(labels.max()) + 1):
         mask = labels == lab
         pix = int(mask.sum())
         touches = (

@@ -101,13 +101,7 @@ def cmd_amoeba(args) -> int:
     w = _parse_window(args, p)
     raster = am.rasterize_amoeba(p, w)
     comps, notes = am.resolved_components(p, raster)
-    import numpy as np
-    from scipy import ndimage
-
-    labels, _ = ndimage.label(
-        ~raster.grid, structure=np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-    )
-    io.write_ppm(args.output, io.amoeba_ppm(raster.grid, comps, labels))
+    io.write_ppm(args.output, io.amoeba_ppm(raster.grid, comps, raster.labels))
     report = {
         "components": [
             {

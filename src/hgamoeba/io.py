@@ -165,12 +165,12 @@ def aster_to_csv(rows) -> str:
 
 
 def cloud_to_csv(clouds) -> str:
-    lines = ["r,u,v"]
+    chunks = ["r,u,v\n"]
     for cloud in clouds:
         r = float(cloud.hadamard_order)
-        for u, v in cloud.points.tolist():
-            lines.append(f"{r!r},{u!r},{v!r}")
-    return "\n".join(lines) + "\n"
+        u, v = cloud.points.T.tolist()
+        chunks.append("".join([f"{r!r},{a!r},{b!r}\n" for a, b in zip(u, v)]))
+    return "".join(chunks)
 
 
 # -- PPM rasters ---------------------------------------------------------

@@ -311,8 +311,6 @@ class ComplexLaurentPolynomial:
     the amoeba numerics accept either flavor.
     """
 
-    inexact = True
-
     def __init__(self, n: int, terms: Mapping[Exponent, complex]):
         self.n = n
         self.terms = {
@@ -351,23 +349,6 @@ class ComplexLaurentPolynomial:
             base = base * base if k > 1 else base
             k >>= 1
         return result
-
-    def evaluate(self, x: Iterable[complex]) -> complex:
-        x = tuple(complex(v) for v in x)
-        total = 0j
-        for exp, c in self.sorted_terms():
-            mono = 1 + 0j
-            for v, e in zip(x, exp):
-                if e == 0:
-                    continue
-                if v == 0:
-                    if e < 0:
-                        raise DomainError("zero coordinate with negative exponent")
-                    mono = 0j
-                    break
-                mono *= v ** e
-            total += c * mono
-        return total
 
     def __repr__(self):
         return f"ComplexLaurentPolynomial(n={self.n}, {len(self.terms)} terms)"

@@ -1,21 +1,22 @@
 """Moment maps, (weighted) compactified amoebas and Hadamard-power skeletons.
 
 The weighted moment map sends a torus point to the barycenter of the support
-with weights |a_s| |x^s|; those weights depend only on the log-moduli, so the
-compactified images are computed directly from the same fiber samples that
-drive the log-space raster.
+with weights |a_s| |x^s|; those weights depend only on the log-moduli.  So the
+compactified amoeba is the second view of the one fiber sweep
+(``amoeba._sweep``): the log-space raster bins its samples, and the cloud here
+maps the same samples through the moment map.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy import ndimage
 
-from .amoeba import LogWindow, _fiber_roots, _shift_nonnegative, _term_arrays, adaptive_window
+from .amoeba import DILATION_PIXELS, LogWindow, _sweep, _term_arrays, adaptive_window
 from .errors import DomainError
 from .laurent import LaurentPolynomial
 from .polytope import IntegerPolytope, newton_polytope
@@ -25,7 +26,6 @@ from .polytope import IntegerPolytope, newton_polytope
 class MomentImagePointCloud:
     points: np.ndarray  # (m, n) points inside the Newton polytope
     hadamard_order: float = 1.0
-    source: str = ""
 
 
 def moment_map(p, x: Sequence[complex], weighted: bool = True) -> np.ndarray:
@@ -53,8 +53,7 @@ def rasterize_wca(p, w: Optional[LogWindow] = None, weighted: bool = True) -> Mo
         raise DomainError("moment-map rasterization is implemented for two variables")
     if w is None:
         w = adaptive_window(p)
-    q = _shift_nonnegative(p)
-    logs = _zero_locus_log_points(q, w)
+    logs = _zero_locus_log_points(p, w)
     if logs.size == 0:
         return MomentImagePointCloud(np.zeros((0, 2)))
     # map through the moment map of the original polynomial so that the
@@ -64,38 +63,12 @@ def rasterize_wca(p, w: Optional[LogWindow] = None, weighted: bool = True) -> Mo
 
 
 def _zero_locus_log_points(p, w: LogWindow) -> np.ndarray:
-    exps, coeffs = _term_arrays(p)
-    out = []
-    for axis in (0, 1):
-        if axis == 0:
-            u_min, u_max = w.x_min, w.x_max
-        else:
-            u_min, u_max = w.y_min, w.y_max
-        su = exps[:, axis].astype(int)
-        sv = exps[:, 1 - axis].astype(int)
-        deg = int(sv.max())
-        if deg == 0:
-            continue
-        M = np.zeros((len(coeffs), deg + 1))
-        M[np.arange(len(coeffs)), sv] = 1.0
-        angles = 2.0 * np.pi * (np.arange(w.angular_samples) + 0.5) / w.angular_samples
-        du = (u_max - u_min) / w.resolution
-        log_c = np.log(np.abs(coeffs)) + 1j * np.angle(coeffs)
-        for i in range(w.resolution):
-            xi = u_min + (i + 0.5) * du
-            log_w = np.outer(xi + 1j * angles, su) + log_c
-            weights = np.exp(log_w - log_w.real.max(axis=1, keepdims=True))
-            roots = _fiber_roots(weights @ M)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                logabs = np.log(np.abs(roots))
-            finite = np.isfinite(logabs)
-            us = np.broadcast_to(xi, roots.shape)[finite]
-            vs = logabs[finite]
-            pair = np.stack([us, vs], axis=1) if axis == 0 else np.stack([vs, us], axis=1)
-            out.append(pair)
-    if not out:
-        return np.zeros((0, 2))
-    return np.concatenate(out, axis=0)
+    """The fiber sweep's samples as (x, y) log-points of the zero locus."""
+    pairs = []
+    for axis, _, u, v in _sweep(p, w):
+        us = np.full(v.shape, u)
+        pairs.append(np.stack((us, v) if axis == 0 else (v, us), axis=1))
+    return np.concatenate(pairs) if pairs else np.zeros((0, 2))
 
 
 def skeleton_approximation(
@@ -116,8 +89,7 @@ def skeleton_approximation(
 
 
 def wca_occupancy(
-    cloud: MomentImagePointCloud, P: IntegerPolytope, resolution: int = 400,
-    dilation_radius: int = 1,
+    cloud: MomentImagePointCloud, P: IntegerPolytope, resolution: int = 400
 ) -> tuple[np.ndarray, tuple[float, float, float, float]]:
     """Boolean occupancy grid of a cloud over the polytope bounding box."""
     lo, hi = P.bounding_box()
@@ -129,8 +101,7 @@ def wca_occupancy(
         iy = np.floor((cloud.points[:, 1] - y0) / (y1 - y0) * resolution).astype(int)
         keep = (ix >= 0) & (ix < resolution) & (iy >= 0) & (iy < resolution)
         grid[ix[keep], iy[keep]] = True
-    if dilation_radius > 0:
-        grid = ndimage.binary_dilation(grid, iterations=dilation_radius)
+    grid = ndimage.binary_dilation(grid, iterations=DILATION_PIXELS)
     return grid, (x0, x1, y0, y1)
 
 

@@ -84,6 +84,16 @@ def test_product_of_lines_four_components():
     assert {c.order for c in comps} == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
 
+def test_components_share_the_raster_labels():
+    r = rasterize_amoeba(line(), small_window())
+    comps = complement_components(r)
+    assert r.labels is r.labels
+    assert int(r.labels.max()) == len(comps) == 3
+    assert np.array_equal(r.labels == 0, r.grid)
+    for c in comps:
+        assert int((r.labels == c.label).sum()) == c.pixel_count
+
+
 def test_laurent_support_is_handled():
     p = LP(2, {(-1, 0): 1, (0, -1): 1, (0, 0): 4, (1, 0): 1, (0, 1): 1})
     r = rasterize_amoeba(p, small_window())

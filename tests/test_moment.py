@@ -6,20 +6,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from hgamoeba import (
     DomainError,
     LaurentPolynomial,
     LogWindow,
+    adaptive_window,
     containment_violation,
     facet_description,
     moment_map,
     newton_polytope,
     point_in_wca_gap,
+    rasterize_amoeba,
     rasterize_wca,
     skeleton_approximation,
     wca_occupancy,
 )
+from hgamoeba.moment import _zero_locus_log_points
 
 LP = LaurentPolynomial
 
@@ -95,6 +99,28 @@ def test_wca_needs_two_variables():
 def test_unweighted_cloud_also_contained(p3_paper):
     cloud = rasterize_wca(p3_paper, small_window(), weighted=False)
     assert containment_violation(cloud, p3_paper) <= 1e-9
+
+
+# -- one sweep, two views -------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["p3_paper", "laurent", "appell_5443"])
+def test_cloud_samples_bin_to_the_amoeba_raster(name, request):
+    if name == "laurent":
+        p = LP(2, {(0, 0): 10, (1, 0): 2, (-1, 0): 1, (0, 1): 1, (0, -1): 3})
+    else:
+        p = request.getfixturevalue(name)
+    w = adaptive_window(p, 48, 64)
+    res = w.resolution
+    logs = _zero_locus_log_points(p, w)
+    ix = np.floor((logs[:, 0] - w.x_min) / ((w.x_max - w.x_min) / res)).astype(int)
+    iy = np.floor((logs[:, 1] - w.y_min) / ((w.y_max - w.y_min) / res)).astype(int)
+    keep = (ix >= 0) & (ix < res) & (iy >= 0) & (iy < res)
+    grid = np.zeros((res, res), dtype=bool)
+    grid[ix[keep], iy[keep]] = True
+    grid = ndimage.binary_dilation(grid, iterations=1)
+    assert grid.any() and not grid.all()
+    assert np.array_equal(grid, rasterize_amoeba(p, w).grid)
 
 
 # -- skeletons ------------------------------------------------------------

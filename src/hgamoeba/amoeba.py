@@ -21,8 +21,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DomainError, NeedsDeeperPointError
-from .laurent import ComplexLaurentPolynomial, LaurentPolynomial
-from .polytope import facet_description, lattice_points, newton_polytope
+from .polytope import lattice_points, newton_polytope
 from .roots import aberth_roots_batch
 
 GENERIC_ANGLE = 0.4136  # fixed fiber angle for winding loops
@@ -83,18 +82,6 @@ def _term_arrays(p) -> tuple[np.ndarray, np.ndarray]:
     return np.array(exps, dtype=float), np.array(coeffs, dtype=complex)
 
 
-def _shift_nonnegative(p):
-    mins = tuple(min(e[k] for e in p.terms) for k in range(p.n))
-    shift = tuple(-min(m, 0) for m in mins)
-    if all(s == 0 for s in shift):
-        return p
-    if isinstance(p, LaurentPolynomial):
-        return p.shift(shift)
-    return ComplexLaurentPolynomial(
-        p.n, {tuple(e + d for e, d in zip(exp, shift)): c for exp, c in p.terms.items()}
-    )
-
-
 def adaptive_window(
     p, resolution: int = 400, angular_samples: int = 512, pad: float = 4.0
 ) -> LogWindow:
@@ -147,7 +134,7 @@ def rasterize_amoeba(p, w: LogWindow) -> AmoebaRaster:
     if len(p.terms) < 2:
         raise DomainError("amoeba of a monomial is empty")
     try:
-        newton_polytope(_as_exact_support(p))
+        newton_polytope(p)
     except Exception as exc:
         raise DomainError(f"degenerate support: {exc}") from exc
 
@@ -163,10 +150,6 @@ def rasterize_amoeba(p, w: LogWindow) -> AmoebaRaster:
     return AmoebaRaster(w, grid)
 
 
-def _as_exact_support(p) -> LaurentPolynomial:
-    return LaurentPolynomial(p.n, {e: 1 for e in p.terms})
-
-
 def _sweep(p, w: LogWindow):
     """The fiber sweep of the zero locus, one pixel column at a time.
 
@@ -175,7 +158,8 @@ def _sweep(p, w: LogWindow):
     coordinate) over the window's ring of angles.  A generator, so that the
     raster never holds more than one column of samples.
     """
-    exps, coeffs = _term_arrays(_shift_nonnegative(p))
+    exps, coeffs = _term_arrays(p)
+    exps -= np.minimum(exps.min(axis=0), 0)  # a monomial factor moves no root
     angles = 2.0 * np.pi * (np.arange(w.angular_samples) + 0.5) / w.angular_samples
     log_c = np.log(np.abs(coeffs)) + 1j * np.angle(coeffs)
     u_bounds = ((w.x_min, w.x_max), (w.y_min, w.y_max))
@@ -203,29 +187,27 @@ def _sweep(p, w: LogWindow):
 
 
 def complement_components(r: AmoebaRaster) -> list[ComplementComponent]:
-    """4-connected components of the non-amoeba pixels, deepest pixel first."""
-    free = ~r.grid
-    labels = r.labels
-    dist = ndimage.distance_transform_edt(free)
+    """4-connected components of the non-amoeba pixels, deepest pixel first.
+
+    Each keeps up to eight of its pixels deepest by Euclidean distance to
+    the amoeba, deepest first and ties in raster order; the representative
+    is the centre of the first.
+    """
+    labels = r.labels.ravel()
+    depth = ndimage.distance_transform_edt(~r.grid).ravel()
+    counts = np.bincount(labels)
+    edge = r.labels[[0, -1]].ravel(), r.labels[:, [0, -1]].ravel()
+    unbounded = set(np.concatenate(edge).tolist())
+    by_depth = np.lexsort((-depth, labels))  # stable: ties stay in raster order
+    groups = np.split(by_depth, np.cumsum(counts)[:-1])  # group 0 is the amoeba
     comps = []
-    for lab in range(1, int(labels.max()) + 1):
-        mask = labels == lab
-        pix = int(mask.sum())
-        touches = (
-            mask[0, :].any() or mask[-1, :].any()
-            or mask[:, 0].any() or mask[:, -1].any()
-        )
-        d = np.where(mask, dist, -1.0)
-        order_idx = np.argsort(d.ravel())[::-1]
-        deep = [
-            (int(a), int(b))
-            for a, b in (np.unravel_index(k, d.shape) for k in order_idx[:8])
-        ]
-        rep = r.window.pixel_center(*deep[0])
+    for lab in range(1, len(counts)):
+        ix, iy = np.unravel_index(groups[lab][:8], r.grid.shape)
+        deep = list(zip(ix.tolist(), iy.tolist()))
         comps.append(
             ComplementComponent(
-                pixel_count=pix, representative=rep, bounded=not touches,
-                label=lab, deep_pixels=deep,
+                pixel_count=int(counts[lab]), representative=r.window.pixel_center(*deep[0]),
+                bounded=lab not in unbounded, label=lab, deep_pixels=deep,
             )
         )
     comps.sort(key=lambda c: (-c.pixel_count, c.representative))
@@ -311,24 +293,25 @@ def _dominance_point(p, alpha, bound: float):
 
     Solves the linear program max t subject to the monomial alpha
     outweighing every other term by at least t in log scale, within a
-    box of the given half-width.  Returns (xi, margin).
+    box of the given half-width.  Returns xi, or None unless the margin is
+    positive (alpha carrying no monomial has none).
     """
     from scipy.optimize import linprog
 
     exps, coeffs = _term_arrays(p)
     logs = np.array([math.log(abs(c)) for c in coeffs])
-    alpha = np.asarray(alpha, dtype=float)
-    idx = [k for k in range(len(coeffs)) if not np.array_equal(exps[k], alpha)]
-    target = next(k for k in range(len(coeffs)) if np.array_equal(exps[k], alpha))
-    A = np.column_stack([exps[idx] - alpha, np.ones(len(idx))])
-    b = logs[target] - logs[idx]
+    at = (exps == np.asarray(alpha, dtype=float)).all(axis=1)
+    if not at.any():
+        return None
+    A = np.column_stack([exps[~at] - exps[at], np.ones(len(coeffs) - 1)])
+    b = logs[at] - logs[~at]
     res = linprog(
         [0.0] * p.n + [-1.0], A_ub=A, b_ub=b,
         bounds=[(-bound, bound)] * p.n + [(None, None)], method="highs",
     )
-    if res.status != 0:
-        return None, -math.inf
-    return tuple(float(v) for v in res.x[: p.n]), float(-res.fun)
+    if res.status != 0 or -res.fun <= 0.0:
+        return None
+    return tuple(float(v) for v in res.x[: p.n])
 
 
 def resolved_components(p, raster: AmoebaRaster) -> tuple[list[ComplementComponent], list[str]]:
@@ -337,16 +320,22 @@ def resolved_components(p, raster: AmoebaRaster) -> tuple[list[ComplementCompone
     Raster components are first assigned winding orders.  Fragments sharing
     an order are merged: the order map of a genuine amoeba complement is
     injective, so equal orders certify fragments of one true component that
-    a sampling artifact carved up.  Conversely, a lattice point of the
-    Newton polytope whose order is absent is probed at its maximal tropical
-    dominance point; a lopsidedness certificate there proves a component the
-    raster failed to separate, and it is restored.  Notes record every
+    a sampling artifact carved up.  Then each lattice point alpha of the
+    Newton polytope that carries a monomial is tested for lopsidedness once,
+    at its maximal tropical dominance point.  A certificate for an absent
+    order proves a component the raster failed to separate, which is
+    restored; a present order without one is noted.  Notes record every
     correction.
     """
     raw = complement_components(raster)
     notes: list[str] = []
-    for comp in raw:
-        comp.order = _order_of_component(p, raster, comp)
+    for comp in raw:  # the first deep pixel whose winding count is well conditioned
+        for pix in comp.deep_pixels:
+            try:
+                comp.order = component_order(p, raster.window.pixel_center(*pix))
+                break
+            except NeedsDeeperPointError:
+                continue
 
     merged: dict[tuple[int, ...], ComplementComponent] = {}
     unresolved: list[ComplementComponent] = []
@@ -373,25 +362,27 @@ def resolved_components(p, raster: AmoebaRaster) -> tuple[list[ComplementCompone
 
     w = raster.window
     bound = 4.0 * max(abs(w.x_min), abs(w.x_max), abs(w.y_min), abs(w.y_max)) + 10.0
-    N = newton_polytope(_as_exact_support(p))
+    N = newton_polytope(p)
     vertex_set = set(N.vertices)
     for alpha in sorted(lattice_points(N).points):
-        if alpha in merged:
-            continue
-        xi, margin = _dominance_point(p, alpha, bound)
-        if xi is None or margin <= 0.0:
-            continue
-        if lopsided_at(p, xi) != alpha:
-            continue
-        comp = ComplementComponent(
-            pixel_count=0, representative=xi, bounded=alpha not in vertex_set,
-            order=alpha, label=0,
-        )
-        merged[alpha] = comp
-        notes.append(
-            f"restored the order-{alpha} component from a lopsidedness certificate "
-            f"at {tuple(round(v, 3) for v in xi)} (unresolved in the raster)"
-        )
+        xi = _dominance_point(p, alpha, bound)
+        if xi is None:
+            if alpha in merged:
+                notes.append(f"no lopsided certificate found for order {alpha}")
+        elif lopsided_at(p, xi) != alpha:
+            if alpha in merged:
+                notes.append(
+                    f"lopsidedness at the dominance point of order {alpha} is not strict"
+                )
+        elif alpha not in merged:
+            merged[alpha] = ComplementComponent(
+                pixel_count=0, representative=xi, bounded=alpha not in vertex_set,
+                order=alpha, label=0,
+            )
+            notes.append(
+                f"restored the order-{alpha} component from a lopsidedness certificate "
+                f"at {tuple(round(v, 3) for v in xi)} (unresolved in the raster)"
+            )
 
     comps = sorted(merged.values(), key=lambda c: (-c.pixel_count, c.representative))
     comps += unresolved
@@ -404,7 +395,6 @@ def resolved_components(p, raster: AmoebaRaster) -> tuple[list[ComplementCompone
 class OptimalityReport:
     lattice_point_count: int
     components: list[ComplementComponent]
-    orders_injective: bool
     vertices_covered: bool
     optimal: Optional[bool]  # None = inconclusive
     notes: list[str] = field(default_factory=list)
@@ -429,57 +419,26 @@ class OptimalityReport:
 def optimality_report(
     p, w: Optional[LogWindow] = None, raster: Optional[AmoebaRaster] = None
 ) -> OptimalityReport:
-    """Full amoeba-topology report: components, orders, optimality verdict."""
+    """Full amoeba-topology report: components, orders, optimality verdict.
+
+    Optimal means one component per lattice point of the Newton polytope
+    (the Forsberg-Passare-Tsikh bound); resolved orders are distinct.
+    """
     if p.n != 2:
         raise DomainError("optimality analysis is implemented for two variables")
     if raster is None:
-        if w is None:
-            w = adaptive_window(p)
-        raster = rasterize_amoeba(p, w)
-    else:
-        w = raster.window
+        raster = rasterize_amoeba(p, adaptive_window(p) if w is None else w)
     comps, notes = resolved_components(p, raster)
 
-    N = newton_polytope(_as_exact_support(p))
+    N = newton_polytope(p)
     npts = len(lattice_points(N).points)
-    orders = [c.order for c in comps if c.order is not None]
-    injective = len(orders) == len(set(orders))
-
-    vertex_set = set(N.vertices)
-    covered = vertex_set <= set(orders)
-    if not covered:
-        missing = vertex_set - set(orders)
+    missing = set(N.vertices) - {c.order for c in comps}
+    if missing:
         notes.append(f"window misses vertex components of orders {sorted(missing)}")
-
-    bound = 4.0 * max(abs(w.x_min), abs(w.x_max), abs(w.y_min), abs(w.y_max)) + 10.0
-    for comp in comps:
-        if comp.order is None:
-            continue
-        xi, margin = _dominance_point(p, comp.order, bound)
-        if xi is None or margin <= 0.0:
-            notes.append(f"no lopsided certificate found for order {comp.order}")
-        elif lopsided_at(p, xi) != comp.order:
-            notes.append(
-                f"lopsidedness at the dominance point of order {comp.order} is not strict"
-            )
-
-    unresolved = sum(1 for c in comps if c.order is None)
-    if not covered or unresolved:
-        verdict: Optional[bool] = None
-    else:
-        verdict = injective and len(comps) == npts
+    inconclusive = missing or any(c.order is None for c in comps)
+    verdict = None if inconclusive else len(comps) == npts
     notes.append("boundedness is relative to the chosen window")
-    return OptimalityReport(npts, comps, injective, covered, verdict, notes)
-
-
-def _order_of_component(p, raster: AmoebaRaster, comp: ComplementComponent):
-    for pix in comp.deep_pixels:
-        xi = raster.window.pixel_center(*pix)
-        try:
-            return component_order(p, xi)
-        except NeedsDeeperPointError:
-            continue
-    return None
+    return OptimalityReport(npts, comps, not missing, verdict, notes)
 
 
 def cross_polytope_optimal(a: Sequence[float], b: Sequence[float], c: float) -> bool:

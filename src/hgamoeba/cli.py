@@ -92,8 +92,7 @@ def cmd_verify(args) -> int:
 def _analyze(args):
     p = io.polynomial_from_json(_read(args.polynomial))
     w = _parse_window(args, p)
-    report = am.optimality_report(p, w)
-    return p, w, report
+    return am.optimality_report(p, w)
 
 
 def cmd_amoeba(args) -> int:
@@ -119,7 +118,7 @@ def cmd_amoeba(args) -> int:
 
 
 def cmd_orders(args) -> int:
-    _, _, report = _analyze(args)
+    report = _analyze(args)
     for c in report.components:
         kind = "bounded" if c.bounded else "unbounded"
         print(f"order {c.order}  {kind}  representative {c.representative}")
@@ -127,7 +126,7 @@ def cmd_orders(args) -> int:
 
 
 def cmd_optimal(args) -> int:
-    _, _, report = _analyze(args)
+    report = _analyze(args)
     io.atomic_write_text(args.report, json.dumps(report.to_json_dict(), indent=2))
     if report.optimal is None:
         print("inconclusive: " + "; ".join(report.notes))
@@ -144,7 +143,7 @@ def cmd_wca(args) -> int:
     if args.format == "csv":
         io.atomic_write_text(args.output, io.cloud_to_csv([cloud]))
     else:
-        P = newton_polytope(LaurentPolynomial(p.n, {e: 1 for e in p.terms}))
+        P = newton_polytope(p)
         grid, bounds = moment.wca_occupancy(cloud, P, args.res)
         io.write_ppm(args.output, io.wca_ppm(grid, P, bounds))
     print(f"{len(cloud.points)} cloud points")

@@ -191,9 +191,11 @@ def amoeba_ppm(grid: np.ndarray, components=None, labels=None) -> bytes:
     res_x, res_y = grid.shape
     img = np.full((res_x, res_y, 3), 255, dtype=np.uint8)
     if components is not None and labels is not None:
-        for comp in components:
-            color = _order_color(comp.order)
-            img[labels == comp.label] = color
+        palette = np.full((int(labels.max()) + 1, 3), 255, dtype=np.uint8)
+        for comp in components:  # merged fragments are not listed: they stay white
+            if comp.label:  # a restored component owns no pixels
+                palette[comp.label] = _order_color(comp.order)
+        img = palette[labels]
     img[grid] = (0, 0, 0)
     # image rows run top to bottom; our y-index runs bottom to top
     pixels = np.transpose(img, (1, 0, 2))[::-1]

@@ -120,7 +120,7 @@ def point_in_wca_gap(
 
 def containment_violation(cloud: MomentImagePointCloud, p) -> float:
     """Largest violation of the Newton-polytope facet inequalities over the cloud."""
-    P = newton_polytope(LaurentPolynomial(p.n, {e: 1 for e in p.terms}))
+    P = newton_polytope(p)
     worst = 0.0
     for f in P.facets:
         vals = cloud.points @ np.array(f.B, dtype=float) + f.c

@@ -249,7 +249,7 @@ def zn_connected_components(S: LatticeSupport) -> list[LatticeSupport]:
 
 
 def newton_polytope(p: LaurentPolynomial) -> IntegerPolytope:
-    """Convex hull of the support of a nonzero polynomial."""
+    """Convex hull of the support of a nonzero (exact or complex) polynomial."""
     if not p.terms:
         raise DegeneratePolytopeError("zero polynomial has empty support")
     return facet_description(list(p.support))

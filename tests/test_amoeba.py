@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+from scipy import ndimage
 
 from hgamoeba import (
+    AmoebaRaster,
     DomainError,
     LaurentPolynomial,
     LogWindow,
@@ -94,6 +97,57 @@ def test_components_share_the_raster_labels():
         assert int((r.labels == c.label).sum()) == c.pixel_count
 
 
+def _per_label_components(r):
+    """Reference labelling: one full-grid mask, depth map and argsort per
+    label.  Oracle for counts, boundedness and depths."""
+    labels = r.labels
+    dist = ndimage.distance_transform_edt(~r.grid)
+    out = {}
+    for lab in range(1, int(labels.max()) + 1):
+        mask = labels == lab
+        touches = mask[0, :].any() or mask[-1, :].any() or mask[:, 0].any() or mask[:, -1].any()
+        d = np.where(mask, dist, -1.0)
+        order_idx = np.argsort(d.ravel())[::-1]
+        depths = [float(d.ravel()[k]) for k in order_idx[: min(8, int(mask.sum()))]]
+        out[lab] = (int(mask.sum()), not touches, depths)
+    return out
+
+
+def _tied_raster():
+    """Hand-made raster: a cross of amoeba pixels, a closed box around a 4x4
+    hole (four centre pixels of equal depth) and a closed 2x2 pocket."""
+    grid = np.zeros((24, 24), dtype=bool)
+    grid[12, :] = grid[:, 12] = True
+    grid[2:8, 2] = grid[2:8, 7] = grid[2, 2:8] = grid[7, 2:8] = True
+    grid[15:19, 15] = grid[15:19, 18] = grid[15, 15:19] = grid[18, 15:19] = True
+    return AmoebaRaster(small_window(res=24), grid)
+
+
+@pytest.mark.parametrize("which", ["tied", "p3"])
+def test_labelling_matches_the_per_label_loop(which, p3_paper):
+    if which == "tied":
+        r = _tied_raster()
+    else:
+        r = rasterize_amoeba(p3_paper, adaptive_window(p3_paper, 64, 64))
+    oracle = _per_label_components(r)
+    comps = complement_components(r)
+    assert sorted(c.label for c in comps) == sorted(oracle)
+    dist = ndimage.distance_transform_edt(~r.grid)
+    for c in comps:
+        pix, bounded, depths = oracle[c.label]
+        assert (c.pixel_count, c.bounded) == (pix, bounded)
+        assert [float(dist[q]) for q in c.deep_pixels] == depths
+        assert all(r.labels[q] == c.label for q in c.deep_pixels)
+        assert dist[c.deep_pixels[0]] == dist[r.labels == c.label].max()
+        assert c.representative == r.window.pixel_center(*c.deep_pixels[0])
+        for a, b in zip(c.deep_pixels, c.deep_pixels[1:]):
+            assert dist[a] > dist[b] or (dist[a] == dist[b] and a < b)
+    if which == "tied":
+        assert {c.pixel_count for c in comps if c.bounded} == {16, 4}
+        hole = next(c for c in comps if c.pixel_count == 16)
+        assert hole.deep_pixels[:4] == [(4, 4), (4, 5), (5, 4), (5, 5)]
+
+
 def test_laurent_support_is_handled():
     p = LP(2, {(-1, 0): 1, (0, -1): 1, (0, 0): 4, (1, 0): 1, (0, 1): 1})
     r = rasterize_amoeba(p, small_window())
@@ -153,7 +207,39 @@ def test_line_report_optimal():
     rep = optimality_report(line(), small_window())
     assert rep.optimal is True
     assert rep.lattice_point_count == 3
-    assert rep.orders_injective and rep.vertices_covered
+    orders = [c.order for c in rep.components]
+    assert len(orders) == len(set(orders)) and rep.vertices_covered
+
+
+def test_one_lp_per_lattice_point(monkeypatch):
+    """A component filled into the amoeba is restored from one certificate:
+    one dominance LP per lattice point, none solved twice."""
+    r = rasterize_amoeba(line(), small_window())
+    gone = complement_components(r)[0]
+    order = component_order(line(), gone.representative)
+    filled = AmoebaRaster(r.window, r.grid | (r.labels == gone.label))
+    calls = []
+    solve = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    rep = optimality_report(line(), raster=filled)
+    assert len(calls) == 3
+    assert rep.optimal is True
+    assert [c.order for c in rep.components if c.label == 0] == [order]
+
+
+def test_support_with_a_gap_is_not_optimal():
+    """1 + x^2 + y: the line amoeba under X = x^2, three components for four
+    lattice points; (1, 0) carries no monomial and gets no certificate."""
+    p = LP(2, {(0, 0): 1, (2, 0): 1, (0, 1): 1})
+    rep = optimality_report(p, small_window())
+    assert rep.optimal is False
+    assert len(rep.components) == 3
+    assert rep.lattice_point_count == 4
 
 
 def test_cross_poly_not_optimal(cross_poly):

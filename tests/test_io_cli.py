@@ -226,6 +226,20 @@ def test_cli_optimal_false_verdict(tmp_path, cross_poly):
     assert json.loads(rep.read_text())["optimal"] is False
 
 
+def test_cli_optimal_support_with_a_gap(tmp_path, capsys):
+    pfile = tmp_path / "gap.json"
+    pfile.write_text(io.polynomial_to_json(LP(2, {(0, 0): 1, (2, 0): 1, (0, 1): 1})))
+    rep = tmp_path / "rep.json"
+    code = main(["optimal", str(pfile), "--report", str(rep), "--res", "100", "--angles", "128"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out.splitlines()[0] == "not optimal"
+    assert err == ""
+    report = json.loads(rep.read_text())
+    assert report["optimal"] is False and report["lattice_points"] == 4
+    assert len(report["components"]) == 3
+
+
 def test_cli_orders(tmp_path, capsys):
     pfile = tmp_path / "line.json"
     pfile.write_text(

@@ -41,7 +41,6 @@ from .horn import (
     OreSatoCoefficient,
     annihilator_for_support,
     apply_horn_operator,
-    coefficient_recurrence_check,
     horn_system,
     hypergeometric_polynomial,
     is_horn_solution,

@@ -22,7 +22,7 @@ from .horn import (
     is_horn_solution,
 )
 from .laurent import LaurentPolynomial
-from .polytope import lattice_points, newton_polytope, zn_connected_components
+from .polytope import newton_polytope
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -59,15 +59,11 @@ def _term_listing(p: LaurentPolynomial) -> str:
 def cmd_construct(args) -> int:
     P = io.polytope_from_json(_read(args.polytope))
     P = P.canonical_translate()
-    comps = zn_connected_components(lattice_points(P))
-    if len(comps) > 1:
-        print(
-            f"warning: lattice support splits into {len(comps)} unit-step components",
-            file=sys.stderr,
-        )
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         p = hypergeometric_polynomial(P)
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
     io.atomic_write_text(args.output, io.polynomial_to_json(p))
     print(_term_listing(p), end="")
     return EXIT_OK
@@ -162,6 +158,8 @@ def cmd_hadamard(args) -> int:
 
 def _parse_range(spec: str):
     start, stop, step = (Fraction(v) for v in spec.split(":"))
+    if step <= 0:
+        raise ParseError(f"range step must be positive, got {step}")
     vals = []
     v = start
     while v <= stop:

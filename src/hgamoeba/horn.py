@@ -3,7 +3,8 @@
 The central constructions: the reciprocal-Gamma coefficient attached to an
 integer polytope via its facet inequalities, the hypergeometric polynomial it
 generates, derivation of the operator pairs (P_j, Q_j) from Gamma-quotient
-telescoping, and exact symbolic application of the operators.
+telescoping, exact symbolic application of the operators, and verification
+of solutions over the operators' affine factors.
 """
 
 from __future__ import annotations
@@ -76,6 +77,9 @@ class OreSatoCoefficient:
         object.__setattr__(self, "factors", tuple(self.factors))
         object.__setattr__(self, "rational_num", tuple(self.rational_num))
         object.__setattr__(self, "rational_den", tuple(self.rational_den))
+        for f in self.factors + self.rational_num + self.rational_den:
+            if len(f.A) != self.n:
+                raise ValueError(f"factor {f.A} has {len(f.A)} entries, expected {self.n}")
         if self.exponential is not None:
             t = tuple(Fraction(v) for v in self.exponential)
             if len(t) != self.n:
@@ -224,7 +228,11 @@ def _telescoped_factors(
     of the rational part telescope the same way, a numerator form L acting
     as Gamma(L) and a denominator form M as 1/Gamma(M+1).  The exponential
     part is not a factor: it scales P_j by a constant.
+
+    Fewer than n factors and forms give no holonomic system: DomainError.
     """
+    if len(phi.factors) + len(phi.rational_num) + len(phi.rational_den) < phi.n:
+        raise DomainError("need at least n factors for a holonomic Horn system")
     effective = list(phi.factors)
     effective += [GammaFactor(f.A, f.c, 1) for f in phi.rational_num]
     effective += [GammaFactor(f.A, f.c + 1, -1) for f in phi.rational_den]
@@ -256,8 +264,6 @@ def horn_system(phi: OreSatoCoefficient) -> HornSystem:
     supports.
     """
     n = phi.n
-    if len(phi.factors) + len(phi.rational_num) + len(phi.rational_den) < n:
-        raise DomainError("need at least n factors for a holonomic Horn system")
     pairs = []
     for j, (p_factors, q_factors) in enumerate(_telescoped_factors(phi)):
         P = LaurentPolynomial.constant(n, 1)
@@ -289,54 +295,51 @@ def apply_horn_operator(p: LaurentPolynomial, j: int, H: HornSystem) -> LaurentP
 
 
 def is_horn_solution(
-    p: LaurentPolynomial,
-    phi: OreSatoCoefficient | HornSystem,
-    up_to_monomial: bool = True,
+    p: LaurentPolynomial, phi: OreSatoCoefficient, up_to_monomial: bool = True
 ) -> bool:
-    """True iff every operator of the Horn system maps p to exactly zero.
+    """True iff every operator x_j P_j(theta) - Q_j(theta) of phi maps p to zero.
 
     With ``up_to_monomial`` (the default) a polynomial is also accepted when
     some monomial multiple x^gamma p solves the system: solutions normalized
     into the positive quadrant are identified with their Laurent translates,
     consistent with identifying Newton polytopes up to translation.  The
-    shift search needs the coefficient data, so it only runs when ``phi`` is
-    an :class:`OreSatoCoefficient`.
+    operators are never expanded; :func:`_solving_shifts` decides the
+    recurrence they impose on the coefficients over their affine factors.
     """
     p = require_exact(p)
-    H = phi if isinstance(phi, HornSystem) else horn_system(phi)
-    if _solves_exactly(p, H):
+    if p.n != phi.n:
+        raise ValueError(f"polynomial in {p.n} variables, coefficient in {phi.n}")
+    factors = _telescoped_factors(phi)
+    if p.is_zero():
         return True
-    if not up_to_monomial or p.is_zero() or isinstance(phi, HornSystem):
-        return False
-    for gamma in _candidate_shifts(p, phi):
-        if _solves_exactly(p.shift(gamma), H):
-            return True
-    return False
+    shifts = _solving_shifts(p, phi, factors)
+    return bool(shifts) if up_to_monomial else (0,) * p.n in shifts
 
 
-def _solves_exactly(p: LaurentPolynomial, H: HornSystem) -> bool:
-    return all(apply_horn_operator(p, j, H).is_zero() for j in range(H.n))
+def _solving_shifts(p: LaurentPolynomial, phi: OreSatoCoefficient, factors) -> list[IntVec]:
+    """Integer shifts gamma for which x^gamma p solves the system, in lex order.
 
-
-def _candidate_shifts(p: LaurentPolynomial, phi: OreSatoCoefficient) -> list[IntVec]:
-    """Nonzero integer shifts gamma for which x^gamma p satisfies the recurrences.
-
-    x^gamma p solves the system iff, in every direction j and at every s,
-    a_s P_j(s+gamma) = a_{s+e_j} Q_j(s+e_j+gamma), with a = 0 off the
-    support.  Since P_j and Q_j are products of affine factors, this gives
-    two necessary conditions, each a union of hyperplanes in gamma:
+    The operator in direction j maps x^gamma p to the polynomial whose
+    coefficient at x^(t+gamma) is a_{t-e_j} P_j(t-e_j+gamma) -
+    a_t Q_j(t+gamma), with a = 0 off the support.  That is zero for every t
+    exactly when
 
     * Q_j(t+gamma) = 0 at every lower end t of the support in direction j
       (t - e_j is not in the support);
-    * P_j(s+gamma) = 0 at every upper end s (s + e_j is not in the support).
+    * P_j(s+gamma) = 0 at every upper end s (s + e_j is not in the support);
+    * a_s P_j(s+gamma) = a_{s+e_j} Q_j(s+e_j+gamma) for every pair of
+      adjacent support points s, s + e_j.
 
-    The lex-minimal support point is a lower end and the lex-maximal one an
-    upper end in every direction, so their 2n conditions come first.  All
-    end conditions together cut gamma-space into affine subspaces; of these,
-    the integer points inside the box |gamma_k| <= span + max|c| +
-    max||A||_1 + 2 that also meet the recurrence between adjacent support
-    points are returned in lex order.  The box limits the search: a solving
-    shift outside it is not found.
+    Since P_j and Q_j are products of affine factors, each end condition is
+    a union of hyperplanes in gamma.  The lex-minimal support point is a
+    lower end and the lex-maximal one an upper end in every direction, so
+    their 2n conditions come first.  All end conditions together cut
+    gamma-space into affine subspaces, and their integer points that meet
+    the adjacent-pair condition are the solving shifts.  A subspace of
+    dimension 0 is a point and is taken wherever it lies; on a line or
+    plane, only points whose free coordinates lie in [-r, r] are taken,
+    r = span + max|c| + max||A||_1 + 2, so a solving shift whose free
+    coordinates fall outside that box is missed.
     """
     n = p.n
     support = sorted(p.terms)
@@ -346,7 +349,6 @@ def _candidate_shifts(p: LaurentPolynomial, phi: OreSatoCoefficient) -> list[Int
     a_bound = max(sum(abs(a) for a in f.A) for f in forms)
     radius = int(span + c_bound + a_bound + 2)
 
-    factors = _telescoped_factors(phi)
     conditions = [_hyperplanes(q, support[0]) for _, q in factors]
     conditions += [_hyperplanes(pf, support[-1]) for pf, _ in factors]
     for j, (pf, q) in enumerate(factors):
@@ -356,14 +358,12 @@ def _candidate_shifts(p: LaurentPolynomial, phi: OreSatoCoefficient) -> list[Int
             if _step(s, j, 1) not in p.terms:
                 conditions.append(_hyperplanes(pf, s))
     pairs = _adjacent_pairs(p, phi, factors)
-    found = {
+    return sorted({
         gamma
         for rows in _cut(n, list(dict.fromkeys(conditions)))
         for gamma in _integer_points(n, rows, radius)
         if _pairs_hold(pairs, gamma)
-    }
-    found.discard((0,) * n)
-    return sorted(found)
+    })
 
 
 Hyperplane = tuple[int, ...]  # (a_1, ..., a_n, r): <a, gamma> = r, primitive, first a_k > 0
@@ -440,7 +440,10 @@ def _pivot(row: Sequence[int]) -> int:
 
 
 def _integer_points(n: int, rows: Subspace, radius: int) -> Iterator[IntVec]:
-    """Integer points of the subspace with every coordinate in [-radius, radius]."""
+    """Integer points of the subspace with every free coordinate in [-radius, radius].
+
+    The pivot coordinates are whatever the rows make of the free ones.
+    """
     pivots = [_pivot(row) for row in rows]
     free = [k for k in range(n) if k not in pivots]
     for values in itertools.product(range(-radius, radius + 1), repeat=len(free)):
@@ -449,7 +452,7 @@ def _integer_points(n: int, rows: Subspace, radius: int) -> Iterator[IntVec]:
             gamma[k] = x
         for k, row in zip(pivots, rows):
             x, rem = divmod(row[n] - sum(row[f] * gamma[f] for f in free), row[k])
-            if rem or abs(x) > radius:
+            if rem:
                 break
             gamma[k] = x
         else:
@@ -493,28 +496,6 @@ def _step(s: IntVec, j: int, d: int) -> IntVec:
 
 def _product(forms, s: IntVec, gamma: IntVec) -> int:
     return prod(sum(a * (x + g) for a, x, g in zip(A, s, gamma)) + c for A, c in forms)
-
-
-def coefficient_recurrence_check(
-    table: dict[IntVec, Fraction], phi: OreSatoCoefficient | HornSystem
-) -> bool:
-    """Check phi(s) P_j(s) = phi(s+e_j) Q_j(s+e_j) over the support, absent = 0."""
-    H = phi if isinstance(phi, HornSystem) else horn_system(phi)
-    n = H.n
-    probe: set[IntVec] = set()
-    for s in table:
-        probe.add(tuple(s))
-        for j in range(n):
-            probe.add(tuple(e - (1 if k == j else 0) for k, e in enumerate(s)))
-    for j in range(n):
-        P, Q = H.pairs[j]
-        for s in probe:
-            up = tuple(e + (1 if k == j else 0) for k, e in enumerate(s))
-            lhs = table.get(s, Fraction(0)) * P.evaluate_exact(s)
-            rhs = table.get(up, Fraction(0)) * Q.evaluate_exact(up)
-            if lhs != rhs:
-                return False
-    return True
 
 
 def annihilator_for_support(S: LatticeSupport) -> OreSatoCoefficient:

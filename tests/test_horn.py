@@ -18,7 +18,6 @@ from hgamoeba import (
     OreSatoCoefficient,
     annihilator_for_support,
     apply_horn_operator,
-    coefficient_recurrence_check,
     facet_description,
     horn_system,
     hypergeometric_polynomial,
@@ -184,6 +183,14 @@ def test_exponential_scales_p_side():
     H, H0 = horn_system(phi), horn_system(base)
     assert H.pairs[0][0] == 5 * H0.pairs[0][0]
     assert H.pairs[0][1] == H0.pairs[0][1]
+    # phi(s) = 5^s / (s! (3 - s)!) generates (1 + 5x)^3
+    p = affine(1, (5,), 1) ** 3
+    assert solves_expanded(p, H)
+    assert is_horn_solution(p, phi, up_to_monomial=False)
+    assert not is_horn_solution(p, base)
+    # a translate far outside the search box around gamma = 0
+    assert is_horn_solution(p.shift((40,)), phi)
+    assert not is_horn_solution(p.shift((40,)) + LP(1, {(41,): 1}), phi)
 
 
 def test_reflect_to_reciprocal():
@@ -206,6 +213,11 @@ def test_reflected_coefficient_value_ratio(phi1, p1_paper):
 # -- operator application and verification --------------------------------
 
 
+def solves_expanded(p, H):
+    """Every expanded operator x_j P_j(theta) - Q_j(theta) maps p to zero."""
+    return all(apply_horn_operator(p, j, H).is_zero() for j in range(H.n))
+
+
 def test_apply_operator_is_linear(phi_two_lines):
     H = horn_system(phi_two_lines)
     p = LP(2, {(1, 0): 2, (0, 1): 3})
@@ -221,6 +233,16 @@ def test_two_lines_polynomial_solves_its_system(phi_two_lines):
     assert is_horn_solution(p, phi_two_lines)
     perturbed = p + LP(2, {(1, 1): 1})
     assert not is_horn_solution(perturbed, phi_two_lines)
+    # translates far outside the search box around gamma = 0
+    H = horn_system(phi_two_lines)
+    assert solves_expanded(p, H)
+    for gamma in ((10, 0), (40, 40), (-25, 7)):
+        shifted = p.shift(gamma)
+        assert not solves_expanded(shifted, H)
+        assert is_horn_solution(shifted, phi_two_lines), gamma
+        assert not is_horn_solution(shifted, phi_two_lines, up_to_monomial=False)
+        middle = (1 + gamma[0], 1 + gamma[1])
+        assert not is_horn_solution(shifted + LP(2, {middle: 1}), phi_two_lines)
 
 
 def test_p3_solves_psi_system(p3_constructed):
@@ -233,19 +255,19 @@ def test_solution_up_to_monomial_translate(phi_two_lines):
     shifted = p.shift((3, 2))
     assert is_horn_solution(shifted, phi_two_lines)
     assert not is_horn_solution(shifted, phi_two_lines, up_to_monomial=False)
-    # against a bare HornSystem the shift search is unavailable
-    assert not is_horn_solution(shifted, horn_system(phi_two_lines))
 
 
 def test_recurrence_check(p3_constructed, hirzebruch_poly):
     quad_phi = psi_from_polytope(facet_description(QUADRILATERAL_VERTICES))
-    assert coefficient_recurrence_check(dict(p3_constructed.terms), quad_phi)
+    assert is_horn_solution(LP(2, dict(p3_constructed.terms)), quad_phi, up_to_monomial=False)
     bad = dict(p3_constructed.terms)
     bad[(2, 1)] += 1
-    assert not coefficient_recurrence_check(bad, quad_phi)
+    assert not is_horn_solution(LP(2, bad), quad_phi, up_to_monomial=False)
 
     hz = facet_description([(1, 0), (0, 1), (-1, 1), (0, -1)]).canonical_translate()
-    assert coefficient_recurrence_check(dict(hirzebruch_poly.terms), psi_from_polytope(hz))
+    assert is_horn_solution(
+        LP(2, dict(hirzebruch_poly.terms)), psi_from_polytope(hz), up_to_monomial=False
+    )
 
 
 def test_reciprocal_ratio_consistency_on_grid(phi0):
@@ -299,12 +321,11 @@ def box_scan_shifts(p, phi, H):
 
 
 def oracle_is_solution(p, phi):
-    """is_horn_solution's verdict, with the shift search done by the box scan."""
+    """is_horn_solution's verdict from the expanded operators, shifts by the box scan."""
     H = horn_system(phi)
-    # against a bare HornSystem, is_horn_solution is the exact check alone
-    if is_horn_solution(p, H):
+    if solves_expanded(p, H):
         return True
-    return any(is_horn_solution(p.shift(g), H) for g in box_scan_shifts(p, phi, H))
+    return any(solves_expanded(p.shift(g), H) for g in box_scan_shifts(p, phi, H))
 
 
 def _psi_instance(verts, numerator):
@@ -369,6 +390,8 @@ def horn_cases(draw):
 def test_shift_search_agrees_with_box_scan(case):
     q, phi = case
     assert is_horn_solution(q, phi) == oracle_is_solution(q, phi)
+    exact = solves_expanded(q, horn_system(phi))
+    assert is_horn_solution(q, phi, up_to_monomial=False) == exact
 
 
 def test_box_scan_oracle_finds_the_fixture_shift(phi_two_lines):
@@ -400,11 +423,29 @@ def test_shifted_psi_polynomials_in_3d_and_4d(name):
     P = facet_description(HIGHER_DIM_POLYTOPES[name])
     phi = psi_from_polytope(P)
     p = hypergeometric_polynomial(P)
-    for gamma in ((2, -1, 1, -2), (-1, 0, 3, 1)):
+    # each translate below solves the system at the shift -gamma, back to p
+    assert solves_expanded(p, horn_system(phi))
+    # the last two lie far outside the search box around gamma = 0
+    for gamma in ((2, -1, 1, -2), (-1, 0, 3, 1), (30, -20, 15, 40), (-50, 3, 0, 12)):
         shifted = p.shift(gamma[:P.n])
         assert is_horn_solution(shifted, phi), gamma
         middle = sorted(shifted.terms)[len(shifted.terms) // 2]
         assert not is_horn_solution(shifted + LP(P.n, {middle: 1}), phi), gamma
+
+
+def test_verification_never_expands_the_operators(monkeypatch):
+    P = facet_description(HIGHER_DIM_POLYTOPES["cross4"])
+    phi = psi_from_polytope(P)
+    p = hypergeometric_polynomial(P)
+
+    def expanded(*args):
+        raise AssertionError("is_horn_solution expanded the operators")
+
+    monkeypatch.setattr("hgamoeba.horn.horn_system", expanded)
+    monkeypatch.setattr("hgamoeba.horn.apply_horn_operator", expanded)
+    monkeypatch.setattr("hgamoeba.laurent.LaurentPolynomial.evaluate_exact", expanded)
+    assert is_horn_solution(p.shift((3, -1, 0, 2)), phi)
+    assert is_horn_solution(p, phi, up_to_monomial=False)
 
 
 # -- annihilators ---------------------------------------------------------

@@ -158,6 +158,15 @@ def test_cli_construct(tmp_path, quad_polytope_file, p3_paper, capsys):
     assert "240" in capsys.readouterr().out
 
 
+def test_cli_construct_split_support_warns_once(tmp_path, capsys):
+    path = tmp_path / "thin.json"
+    path.write_text(io.polytope_to_json(facet_description([(0, 0), (5, 1), (1, 5)])))
+    assert main(["construct", str(path), "-o", str(tmp_path / "o.json")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: lattice support splits into")
+
+
 def test_cli_construct_missing_file(tmp_path):
     assert main(["construct", str(tmp_path / "nope.json"), "-o", "x.json"]) == 3
 
@@ -186,6 +195,34 @@ def test_cli_verify_malformed(tmp_path, quad_psi_file):
     bad = tmp_path / "garbage.json"
     bad.write_text("{not json")
     assert main(["verify", str(bad), quad_psi_file]) == 3
+
+
+def _oresato_file(tmp_path, n, factors):
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({
+        "n": n, "factors": [{"A": A, "c": "1", "sign": -1} for A in factors],
+    }))
+    return str(path)
+
+
+def test_cli_factor_length_mismatch_is_a_parse_error(tmp_path, p3_file, capsys):
+    phi = _oresato_file(tmp_path, 2, [[1, 0], [0, 1, 1]])
+    assert main(["horn", phi, "-o", str(tmp_path / "h.json")]) == 3
+    assert main(["verify", p3_file, phi]) == 3
+    assert capsys.readouterr().err.count("parse error:") == 2
+
+
+def test_cli_verify_dimension_mismatch_is_a_parse_error(tmp_path, quad_psi_file, capsys):
+    line = tmp_path / "line.json"
+    line.write_text(io.polynomial_to_json(LP(1, {(0,): 1, (1,): 1})))
+    assert main(["verify", str(line), quad_psi_file]) == 3
+    assert "parse error:" in capsys.readouterr().err
+
+
+def test_cli_too_few_factors_is_a_domain_error(tmp_path, p3_file):
+    phi = _oresato_file(tmp_path, 2, [[1, 1]])
+    assert main(["horn", phi, "-o", str(tmp_path / "h.json")]) == 2
+    assert main(["verify", p3_file, phi]) == 2
 
 
 def test_cli_amoeba_and_optimal(tmp_path, capsys):
@@ -290,6 +327,14 @@ def test_cli_aster(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "b,c,re,im"
     assert len(lines) == 1 + 2 * 3  # two b values, 3 roots each
+
+
+@pytest.mark.parametrize("spec", ["1:2:0", "1:2:-1/2"])
+def test_cli_aster_rejects_a_step_that_does_not_advance(tmp_path, spec):
+    out = tmp_path / "aster.csv"
+    assert main(["aster", "--b-range", spec, "-o", str(out)]) == 3
+    assert main(["aster", "--c-range", spec, "-o", str(out)]) == 3
+    assert not out.exists()
 
 
 def test_cli_family(tmp_path, capsys):

@@ -3,8 +3,11 @@
 One fiber sweep samples the zero locus column by column: fix the modulus of
 one coordinate, sweep a ring of angles, solve the fiber polynomial in the
 other coordinate and take the log-moduli of the roots; both coordinate roles
-are swept.  The sweep has two views.  The amoeba raster here bins the samples
-into pixels and dilates the union by one pixel to close sampling gaps; the
+are swept.  For real coefficients half the ring of angles is solved and
+mirrored onto the other half, since the fiber at 2 pi - theta has the
+conjugate roots of the fiber at theta; complex coefficients get the whole
+ring.  The sweep has two views.  The amoeba raster here bins the samples into
+pixels and dilates the union by one pixel to close sampling gaps; the
 compactified amoeba (``moment.rasterize_wca``) maps the same samples through
 the moment map.
 """
@@ -157,10 +160,20 @@ def _sweep(p, w: LogWindow):
     (axis, column, u, finite log-moduli of the fiber roots in the other
     coordinate) over the window's ring of angles.  A generator, so that the
     raster never holds more than one column of samples.
+
+    The N angles (k + 1/2) 2 pi / N pair up as k <-> N - 1 - k, angle theta
+    with 2 pi - theta.  With real coefficients the fiber at 2 pi - theta is
+    the conjugate of the fiber at theta and has the same root moduli, so only
+    the angles k < ceil(N / 2) are solved and their log-moduli are copied
+    into the mirrored slots; an odd N solves its middle angle pi once.  Any
+    coefficient with a nonzero imaginary part breaks the symmetry, and then
+    every angle is solved.
     """
     exps, coeffs = _term_arrays(p)
     exps -= np.minimum(exps.min(axis=0), 0)  # a monomial factor moves no root
-    angles = 2.0 * np.pi * (np.arange(w.angular_samples) + 0.5) / w.angular_samples
+    n_angles = w.angular_samples
+    solved = n_angles if coeffs.imag.any() else -(-n_angles // 2)
+    angles = 2.0 * np.pi * (np.arange(solved) + 0.5) / n_angles
     log_c = np.log(np.abs(coeffs)) + 1j * np.angle(coeffs)
     u_bounds = ((w.x_min, w.x_max), (w.y_min, w.y_max))
     for axis in (0, 1):
@@ -180,9 +193,10 @@ def _sweep(p, w: LogWindow):
             # otherwise overflow exp and poison the fiber polynomials
             log_w = np.outer(u + 1j * angles, su) + log_c  # (angles, terms)
             weights = np.exp(log_w - log_w.real.max(axis=1, keepdims=True))
-            roots = _fiber_roots(weights @ M)  # (angles, deg)
+            roots = _fiber_roots(weights @ M)  # (solved angles, deg)
             with np.errstate(divide="ignore", invalid="ignore"):
                 logabs = np.log(np.abs(roots))
+            logabs = np.concatenate([logabs, logabs[: n_angles - solved][::-1]])
             yield axis, i, u, logabs[np.isfinite(logabs)]
 
 

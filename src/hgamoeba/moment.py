@@ -39,12 +39,13 @@ def moment_map(p, x: Sequence[complex], weighted: bool = True) -> np.ndarray:
 
 def _moment_from_logs(p, xi_rows: np.ndarray, weighted: bool) -> np.ndarray:
     exps, coeffs = _term_arrays(p)
-    logs = xi_rows @ exps.T.real
+    # in place: a cloud's (samples, terms) arrays are its largest temporaries
+    logs = xi_rows @ exps.T
     if weighted:
-        logs = logs + np.array([math.log(abs(c)) for c in coeffs])
-    logs = logs - logs.max(axis=1, keepdims=True)
-    w = np.exp(logs)
-    return (w @ exps.real) / w.sum(axis=1, keepdims=True)
+        logs += np.array([math.log(abs(c)) for c in coeffs])
+    logs -= logs.max(axis=1, keepdims=True)
+    w = np.exp(logs, out=logs)
+    return (w @ exps) / w.sum(axis=1, keepdims=True)
 
 
 def rasterize_wca(p, w: Optional[LogWindow] = None, weighted: bool = True) -> MomentImagePointCloud:

@@ -136,16 +136,16 @@ def aberth_roots_batch(coeffs: np.ndarray) -> np.ndarray:
 def univariate_roots(coeffs) -> list[complex]:
     """All complex roots (with multiplicity) of a univariate polynomial.
 
-    ``coeffs`` runs from the constant term upward.  Trailing zero
-    coefficients are trimmed; a degree-0 polynomial yields an empty list and
-    an identically zero input is an error.  A root that does not converge
-    is NaN.
+    ``coeffs`` runs from the constant term upward.  Trailing coefficients
+    that are exactly zero are trimmed, and only those: a tiny nonzero leading
+    coefficient keeps its (huge) roots.  A degree-0 polynomial yields an
+    empty list and an identically zero input is an error.  A root that does
+    not converge is NaN.
     """
     c = [complex(v) for v in coeffs]
-    scale = max((abs(v) for v in c), default=0.0)
-    if scale == 0.0:
+    if not any(c):
         raise ValueError("all-zero coefficient list")
-    while c and abs(c[-1]) <= 1e-300:
+    while c[-1] == 0:
         c.pop()
     if len(c) <= 1:
         return []

@@ -27,6 +27,20 @@ def test_trailing_zero_leading_coefficients_trimmed():
     assert roots[0] == pytest.approx(-2)
 
 
+@pytest.mark.parametrize("coeffs", [[1e-301, 1e-301], [1, 2, 1e-305]])
+def test_tiny_nonzero_leading_coefficient_keeps_its_roots(coeffs):
+    """Only exact zeros are trimmed: a leading coefficient near the bottom
+    of the float range still counts, and its huge roots are returned."""
+    roots = univariate_roots(coeffs)
+    assert len(roots) == len(coeffs) - 1
+    with mpmath.workdps(30):
+        ref = mpmath.polyroots(
+            [mpmath.mpf(a) for a in coeffs[::-1]], maxsteps=500, extraprec=1000
+        )
+    for want in (complex(r) for r in ref):
+        assert min(abs(z - want) for z in roots) <= 1e-12 * abs(want)
+
+
 def test_degree_zero_and_zero_polynomial():
     assert univariate_roots([5]) == []
     with pytest.raises(ValueError):

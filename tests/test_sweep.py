@@ -1,0 +1,137 @@
+"""The conjugate-symmetric fiber sweep against a full sweep of every angle.
+
+``full_sweep`` is the sweep as it was before the symmetry was used: it solves
+all N angles of every column.  It is kept here as an independent oracle.
+Swapped in for ``amoeba._sweep`` it gives the rasters and clouds of the full
+sweep, which the half sweep must reproduce.
+"""
+
+import numpy as np
+import pytest
+from scipy.spatial import cKDTree
+
+from hgamoeba import (
+    ComplexLaurentPolynomial,
+    LaurentPolynomial,
+    adaptive_window,
+    rasterize_amoeba,
+    rasterize_wca,
+)
+from hgamoeba import amoeba, moment
+
+LP = LaurentPolynomial
+
+
+def full_sweep(p, w):
+    exps, coeffs = amoeba._term_arrays(p)
+    exps -= np.minimum(exps.min(axis=0), 0)
+    angles = 2.0 * np.pi * (np.arange(w.angular_samples) + 0.5) / w.angular_samples
+    log_c = np.log(np.abs(coeffs)) + 1j * np.angle(coeffs)
+    u_bounds = ((w.x_min, w.x_max), (w.y_min, w.y_max))
+    for axis in (0, 1):
+        u_min, u_max = u_bounds[axis]
+        su = exps[:, axis].astype(int)
+        sv = exps[:, 1 - axis].astype(int)
+        deg = int(sv.max())
+        if deg == 0:
+            continue
+        M = np.zeros((len(coeffs), deg + 1), dtype=float)
+        M[np.arange(len(coeffs)), sv] = 1.0
+        du = (u_max - u_min) / w.resolution
+        for i in range(w.resolution):
+            u = u_min + (i + 0.5) * du
+            log_w = np.outer(u + 1j * angles, su) + log_c
+            weights = np.exp(log_w - log_w.real.max(axis=1, keepdims=True))
+            roots = amoeba._fiber_roots(weights @ M)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                logabs = np.log(np.abs(roots))
+            yield axis, i, u, logabs[np.isfinite(logabs)]
+
+
+def oracle_raster(p, w):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(amoeba, "_sweep", full_sweep)
+        return rasterize_amoeba(p, w).grid
+
+
+def oracle_cloud(p, w):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(moment, "_sweep", full_sweep)
+        return rasterize_wca(p, w).points
+
+
+def rows_per_solve(monkeypatch):
+    """Record the number of fiber rows of every ``_fiber_roots`` call."""
+    rows = []
+    solve = amoeba._fiber_roots
+
+    def counted(coeff_rows):
+        rows.append(coeff_rows.shape[0])
+        return solve(coeff_rows)
+
+    monkeypatch.setattr(amoeba, "_fiber_roots", counted)
+    return rows
+
+
+@pytest.fixture
+def laurent():
+    return LP(2, {(0, 0): 10, (1, 0): 2, (-1, 0): 1, (0, 1): 1, (0, -1): 3})
+
+
+@pytest.fixture
+def signed_laurent():
+    return LP(2, {(0, 0): 10, (1, 0): -2, (-1, 0): 1, (0, 1): -1, (0, -1): 3})
+
+
+@pytest.mark.parametrize("angles", [64, 65])
+@pytest.mark.parametrize(
+    "name", ["p1_paper", "p0_paper", "p3_paper", "cross_poly", "laurent", "signed_laurent"]
+)
+def test_raster_equals_the_full_sweep(name, angles, request, monkeypatch):
+    p = request.getfixturevalue(name)
+    w = adaptive_window(p, 64, angles)
+    want = oracle_raster(p, w)
+    rows = rows_per_solve(monkeypatch)
+    got = rasterize_amoeba(p, w).grid
+    assert want.any() and not want.all()
+    assert np.array_equal(got, want)
+    # an odd ring solves its self-conjugate angle pi once: 33 of 65
+    assert set(rows) == {(angles + 1) // 2}
+    assert len(rows) == 2 * w.resolution
+
+
+def test_complex_coefficients_sweep_every_angle(p3_paper, monkeypatch):
+    q = p3_paper.monomial_substitution([[1, 0], [0, 1]], t=(0.8 + 0.6j, 1))
+    assert isinstance(q, ComplexLaurentPolynomial)
+    assert any(c.imag != 0 for c in q.terms.values())
+    w = adaptive_window(q, 64, 64)
+    want = oracle_raster(q, w)
+    rows = rows_per_solve(monkeypatch)
+    assert np.array_equal(rasterize_amoeba(q, w).grid, want)
+    assert rows == [64] * (2 * w.resolution)
+
+
+def test_real_valued_fractional_hadamard_power_is_mirrored(p3_paper, monkeypatch):
+    q = p3_paper.hadamard_power(0.5)
+    assert isinstance(q, ComplexLaurentPolynomial)
+    assert all(c.imag == 0 for c in q.terms.values())
+    w = adaptive_window(q, 64, 64)
+    want = oracle_raster(q, w)
+    rows = rows_per_solve(monkeypatch)
+    assert np.array_equal(rasterize_amoeba(q, w).grid, want)
+    assert rows == [32] * (2 * w.resolution)
+
+
+@pytest.mark.parametrize("power", [1, 6])
+def test_wca_cloud_equals_the_full_sweep(power, p3_paper):
+    """Same number of samples, and each within 1e-12 of one of the full
+    sweep's; the order of roots inside a mirrored fiber may differ."""
+    q = p3_paper.hadamard_power(power)
+    w = adaptive_window(q, 48, 64)
+    want = oracle_cloud(q, w)
+    got = rasterize_wca(q, w).points
+    widths = [max(e[k] for e in q.terms) - min(e[k] for e in q.terms) for k in (0, 1)]
+    assert len(got) == len(want) == w.resolution * w.angular_samples * sum(widths)
+    for a, b in ((got, want), (want, got)):
+        dist, _ = cKDTree(b).query(a)
+        assert dist.max() <= 1e-12

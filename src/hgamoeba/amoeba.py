@@ -1,15 +1,19 @@
 """Amoeba rasterization, complement components, orders and optimality.
 
-One fiber sweep samples the zero locus column by column: fix the modulus of
-one coordinate, sweep a ring of angles, solve the fiber polynomial in the
-other coordinate and take the log-moduli of the roots; both coordinate roles
-are swept.  For real coefficients half the ring of angles is solved and
-mirrored onto the other half, since the fiber at 2 pi - theta has the
-conjugate roots of the fiber at theta; complex coefficients get the whole
-ring.  The sweep has two views.  The amoeba raster here bins the samples into
-pixels and dilates the union by one pixel to close sampling gaps; the
-compactified amoeba (``moment.rasterize_wca``) maps the same samples through
-the moment map.
+One numerical primitive serves the module: the fibers of p in one coordinate
+over a ring of torus points (``_fiber_rows``), solved by ``_fiber_roots``.
+The fiber sweep and the component orders both rest on it.
+
+The fiber sweep samples the zero locus column by column: fix the modulus of
+one coordinate, sweep a ring of angles, solve the fiber in the other
+coordinate and take the log-moduli of the roots; both coordinate roles are
+swept.  For real coefficients half the ring of angles is solved and mirrored
+onto the other half, since the fiber at 2 pi - theta has the conjugate roots
+of the fiber at theta; complex coefficients get the whole ring.  The sweep
+has two views.  The amoeba raster here bins the samples into pixels and
+dilates the union by one pixel to close sampling gaps; the compactified
+amoeba (``moment.rasterize_wca``) maps the same samples through the moment
+map.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from .errors import DomainError, NeedsDeeperPointError
 from .polytope import lattice_points, newton_polytope
 from .roots import aberth_roots_batch
 
-GENERIC_ANGLE = 0.4136  # fixed fiber angle for winding loops
+ORDER_ANGLES = 64  # ring of fiber angles on which component_order counts roots
 DILATION_PIXELS = 1  # sampling-gap closing of the amoeba and WCA rasters
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -176,28 +180,38 @@ def _sweep(p, w: LogWindow):
     angles = 2.0 * np.pi * (np.arange(solved) + 0.5) / n_angles
     log_c = np.log(np.abs(coeffs)) + 1j * np.angle(coeffs)
     u_bounds = ((w.x_min, w.x_max), (w.y_min, w.y_max))
+    log_x = np.zeros((solved, 2), dtype=complex)
     for axis in (0, 1):
-        u_min, u_max = u_bounds[axis]
-        su = exps[:, axis].astype(int)
-        sv = exps[:, 1 - axis].astype(int)
-        deg = int(sv.max())
-        if deg == 0:
+        if exps[:, 1 - axis].max() == 0:
             continue
-        # indicator matrix: term -> fiber-polynomial coefficient slot
-        M = np.zeros((len(coeffs), deg + 1), dtype=float)
-        M[np.arange(len(coeffs)), sv] = 1.0
+        u_min, u_max = u_bounds[axis]
         du = (u_max - u_min) / w.resolution
         for i in range(w.resolution):
             u = u_min + (i + 0.5) * du
-            # normalize per row in log space: huge coefficient ranges would
-            # otherwise overflow exp and poison the fiber polynomials
-            log_w = np.outer(u + 1j * angles, su) + log_c  # (angles, terms)
-            weights = np.exp(log_w - log_w.real.max(axis=1, keepdims=True))
-            roots = _fiber_roots(weights @ M)  # (solved angles, deg)
+            log_x[:, axis] = u + 1j * angles
+            roots = _fiber_roots(_fiber_rows(exps, log_c, 1 - axis, log_x))
             with np.errstate(divide="ignore", invalid="ignore"):
                 logabs = np.log(np.abs(roots))
             logabs = np.concatenate([logabs, logabs[: n_angles - solved][::-1]])
             yield axis, i, u, logabs[np.isfinite(logabs)]
+
+
+def _fiber_rows(exps: np.ndarray, log_c: np.ndarray, j: int, log_x: np.ndarray) -> np.ndarray:
+    """Coefficient rows, in x_j, of the fibers through the log-points log_x.
+
+    ``exps`` (terms, n) are nonnegative exponents and ``log_c`` the complex
+    logs of the coefficients; ``log_x`` (rows, n) holds complex
+    log-coordinates, column j ignored.  Row r, entry k is the coefficient of
+    x_j^k.  Each row is scaled by its largest term in log space: huge
+    coefficient ranges would otherwise overflow exp and poison the fibers.
+    """
+    others = np.arange(exps.shape[1]) != j
+    log_w = log_x[:, others] @ exps[:, others].T + log_c  # (rows, terms)
+    weights = np.exp(log_w - log_w.real.max(axis=1, keepdims=True))
+    sj = exps[:, j].astype(int)
+    slots = np.zeros((len(log_c), sj.max() + 1))  # term -> coefficient slot
+    slots[np.arange(len(log_c)), sj] = 1.0
+    return weights @ slots
 
 
 def complement_components(r: AmoebaRaster) -> list[ComplementComponent]:
@@ -228,62 +242,39 @@ def complement_components(r: AmoebaRaster) -> list[ComplementComponent]:
     return comps
 
 
-def _loop_values(p, xi: Sequence[float], j: int, samples: int, angle_offset: float) -> np.ndarray:
-    exps, coeffs = _term_arrays(p)
-    n = p.n
-    t = 2.0 * np.pi * np.arange(samples) / samples
-    log_x = np.empty((samples, n), dtype=complex)
-    for k in range(n):
-        if k == j:
-            log_x[:, k] = xi[k] + 1j * t
-        else:
-            log_x[:, k] = xi[k] + 1j * (GENERIC_ANGLE + angle_offset + 0.1 * k)
-    # scale out the dominant weighted monomial to keep magnitudes tame
-    logs = np.array([math.log(abs(c)) for c in coeffs]) + exps @ np.asarray(xi, dtype=float)
-    shift = logs.max()
-    vals = np.einsum("se,te->ts", exps, log_x)
-    return (np.exp(vals - shift) * coeffs).sum(axis=1)
-
-
 def component_order(p, xi: Sequence[float]) -> tuple[int, ...]:
     """Order vector of the complement component containing the log-point xi.
 
-    Each coordinate is the winding number of the polynomial along the torus
-    loop that rotates one coordinate while the others stay at a fixed
-    generic angle.  Sampling is refined until consecutive argument steps
-    stay below pi/2, making the count exact.  Orders are those of the
-    polynomial as given: a monomial factor x^a adds a to every order.
+    By the argument principle, order j is the number of roots of the fiber
+    in x_j with log|x_j| < xi_j, the other x_k at modulus e^{xi_k}, for p
+    shifted to nonnegative exponents, plus that shift: a monomial factor x^a
+    adds a to every order.  The fiber is solved on a ring of
+    ``ORDER_ANGLES`` angles, all other coordinates turned together.  A count
+    that varies between angles (xi lies on the amoeba) or a root that did
+    not converge raises ``NeedsDeeperPointError``.
     """
-    xi = tuple(float(v) for v in xi)
+    xi = np.asarray(xi, dtype=float)
+    exps, coeffs = _term_arrays(p)
+    shift = np.minimum(exps.min(axis=0), 0)
+    exps -= shift
+    log_c = np.log(np.abs(coeffs)) + 1j * np.angle(coeffs)
+    angles = 2.0 * np.pi * (np.arange(ORDER_ANGLES) + 0.5) / ORDER_ANGLES
+    log_x = xi + 1j * angles[:, None]
     order = []
     for j in range(p.n):
-        order.append(_winding(p, xi, j))
+        # x_j = e^{xi_j} t: rows scaled at xi itself; count the roots with |t| < 1
+        rows = _fiber_rows(exps, log_c + exps[:, j] * xi[j], j, log_x)
+        roots = _fiber_roots(rows)
+        degree = np.where(rows != 0, np.arange(rows.shape[1]), 0).max(axis=1)
+        lost = (~np.isnan(roots)).sum(axis=1) < degree
+        counts = (np.abs(roots) < 1.0).sum(axis=1)
+        if lost.any() or counts.min() < counts.max():
+            raise NeedsDeeperPointError(
+                f"fiber root count in x_{j} varies or a root did not converge at "
+                f"{tuple(xi.tolist())}; pick a point deeper inside the component"
+            )
+        order.append(int(counts[0] + shift[j]))
     return tuple(order)
-
-
-def _winding(p, xi: Sequence[float], j: int) -> int:
-    offset = 0.0
-    for attempt in range(6):
-        samples = 512
-        while samples <= 1 << 16:
-            vals = _loop_values(p, xi, j, samples, offset)
-            mags = np.abs(vals)
-            if mags.min() < 1e-8 * max(mags.max(), 1e-300):
-                break  # too close to a zero: redraw the generic angle
-            args = np.angle(vals)
-            steps = np.diff(np.concatenate([args, args[:1]]))
-            steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
-            if np.abs(steps).max() < 0.5 * np.pi:
-                total = steps.sum() / (2.0 * np.pi)
-                nu = round(total)
-                if abs(total - nu) > 0.25:
-                    break
-                return int(nu)
-            samples *= 2
-        offset += 0.37
-    raise NeedsDeeperPointError(
-        f"winding ill-conditioned at {xi}; pick a point deeper inside the component"
-    )
 
 
 def lopsided_at(p, xi: Sequence[float]) -> Optional[tuple[int, ...]]:

@@ -8,7 +8,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -21,15 +21,17 @@ from .polytope import IntegerPolytope, facet_description
 # -- atomic writing ------------------------------------------------------
 
 def atomic_write_text(path: str, text: str) -> None:
-    _atomic_write(path, text.encode())
+    # encoded in 1 MiB slices, so a large text is never copied whole as bytes
+    step = 1 << 20
+    _atomic_write(path, (text[k : k + step].encode() for k in range(0, len(text), step)))
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -226,4 +228,4 @@ def wca_ppm(grid: np.ndarray, P=None, bounds=None) -> bytes:
 
 
 def write_ppm(path: str, data: bytes) -> None:
-    _atomic_write(path, data)
+    _atomic_write(path, [data])

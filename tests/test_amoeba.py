@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -12,6 +13,7 @@ from hgamoeba import (
     DomainError,
     LaurentPolynomial,
     LogWindow,
+    NeedsDeeperPointError,
     adaptive_window,
     complement_components,
     component_order,
@@ -21,6 +23,7 @@ from hgamoeba import (
     rasterize_amoeba,
     resolved_components,
 )
+from hgamoeba import amoeba
 
 LP = LaurentPolynomial
 
@@ -175,6 +178,186 @@ def test_monomial_factor_shifts_orders():
     p = line()
     q = p.shift((2, 1))
     assert component_order(q, (-10.0, -10.0)) == (2, 1)
+
+
+# -- orders against independent references ---------------------------------
+
+GENERIC_ANGLE = 0.4136
+
+
+def _loop_values(p, xi, j, samples, angle_offset):
+    exps, coeffs = amoeba._term_arrays(p)
+    t = 2.0 * np.pi * np.arange(samples) / samples
+    log_x = np.empty((samples, p.n), dtype=complex)
+    for k in range(p.n):
+        if k == j:
+            log_x[:, k] = xi[k] + 1j * t
+        else:
+            log_x[:, k] = xi[k] + 1j * (GENERIC_ANGLE + angle_offset + 0.1 * k)
+    logs = np.array([math.log(abs(c)) for c in coeffs]) + exps @ np.asarray(xi, dtype=float)
+    vals = np.einsum("se,te->ts", exps, log_x)
+    return (np.exp(vals - logs.max()) * coeffs).sum(axis=1)
+
+
+def _winding(p, xi, j):
+    offset = 0.0
+    for _ in range(6):
+        samples = 512
+        while samples <= 1 << 16:
+            vals = _loop_values(p, xi, j, samples, offset)
+            mags = np.abs(vals)
+            if mags.min() < 1e-8 * max(mags.max(), 1e-300):
+                break
+            args = np.angle(vals)
+            steps = np.diff(np.concatenate([args, args[:1]]))
+            steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
+            if np.abs(steps).max() < 0.5 * np.pi:
+                total = steps.sum() / (2.0 * np.pi)
+                nu = round(total)
+                if abs(total - nu) > 0.25:
+                    break
+                return int(nu)
+            samples *= 2
+        offset += 0.37
+    raise NeedsDeeperPointError(f"winding ill-conditioned at {xi}")
+
+
+def loop_winding_order(p, xi):
+    """Reference orders: the winding number of p along the torus loop that
+    turns one coordinate while the others stay at a generic angle, sampled
+    until every argument step is below pi/2."""
+    return tuple(_winding(p, xi, j) for j in range(p.n))
+
+
+def mp_fiber_counts(p, xi, j, angles=64):
+    """Per ring angle (k + 1/2) 2 pi / angles, k < angles / 2: the lowest
+    exponent of x_j plus the roots of x_j^(-lowest) p with log|x_j| < xi_j,
+    found by ``mpmath.polyroots`` at 20 digits; and the least distance
+    |log|x_j| - xi_j| of a root.  For real coefficients the fibers at theta and
+    2 pi - theta are conjugate, so half the ring covers it."""
+    lo = min(e[j] for e in p.terms)
+    counts, margin = [], mpmath.inf
+    with mpmath.workdps(20):
+        coeffs = [(e, mpmath.mpf(c.numerator) / c.denominator) for e, c in p.terms.items()]
+        for k in range(angles // 2):
+            theta = 2 * mpmath.pi * (k + mpmath.mpf(1) / 2) / angles
+            fiber = {}
+            for e, c in coeffs:
+                arg = sum(e[i] * (xi[i] + 1j * theta) for i in range(p.n) if i != j)
+                fiber[e[j] - lo] = fiber.get(e[j] - lo, 0) + c * mpmath.exp(arg)
+            poly = [fiber.get(d, 0) for d in range(max(fiber), -1, -1)]
+            roots = mpmath.polyroots(poly, maxsteps=200, extraprec=60) if len(poly) > 1 else []
+            logs = [mpmath.log(abs(r)) - xi[j] for r in roots]
+            counts.append(lo + sum(1 for v in logs if v < 0))
+            margin = min([margin] + [abs(v) for v in logs])
+    return counts, margin
+
+
+@pytest.mark.parametrize("name", ["p1_paper", "p0_paper", "p3_paper", "appell_5443"])
+def test_orders_equal_the_loop_sampler_at_deep_pixels(name, request):
+    p = request.getfixturevalue(name)
+    w = adaptive_window(p, 100, 128)
+    points = [w.pixel_center(*pix)
+              for c in complement_components(rasterize_amoeba(p, w)) for pix in c.deep_pixels[:3]]
+    assert len(points) >= 24
+    for xi in points:
+        assert component_order(p, xi) == loop_winding_order(p, xi)
+
+
+def test_orders_equal_mpmath_root_counts():
+    """Seeded Laurent polynomials at random points and at points on their
+    amoebas: the order is the high-precision count when it is the same at
+    every ring angle, and the call raises when it is not."""
+    rng = np.random.default_rng(12)
+    cells = [(a, b) for a in range(-1, 3) for b in range(-1, 3)]
+    seen = {"off": 0, "on": 0}
+    for trial in range(8):
+        pick = rng.choice(len(cells), size=rng.integers(4, 7), replace=False)
+        terms = {cells[i]: float(rng.choice([-1, 1]) * 10 ** rng.uniform(-1.5, 1.5)) for i in pick}
+        p = LP(2, terms)
+        xi = rng.uniform(-3.0, 3.0, 2)
+        if trial % 2:  # on the amoeba: a root of the x-fiber over y = e^(xi_y + i theta0)
+            y = np.exp(xi[1] + 2j * np.pi * rng.integers(64) / 64)  # midway between ring angles
+            fiber = np.zeros(4, dtype=complex)
+            for (a, b), c in terms.items():
+                fiber[2 - a] += c * y ** b
+            roots = np.roots(np.trim_zeros(fiber, "f"))
+            xi[0] = math.log(abs(rng.choice(roots[roots != 0])))
+        per_axis = [mp_fiber_counts(p, xi, j) for j in range(2)]
+        assert min(m for _, m in per_axis) > 1e-6
+        if all(min(c) == max(c) for c, _ in per_axis):
+            seen["off"] += 1
+            assert component_order(p, xi) == tuple(c[0] for c, _ in per_axis)
+        else:
+            seen["on"] += 1
+            with pytest.raises(NeedsDeeperPointError):
+                component_order(p, xi)
+    assert seen["off"] >= 3 and seen["on"] >= 3
+
+
+def test_order_on_the_amoeba_raises():
+    """(0, 0) lies on the amoeba of 1 + x + y: the x-root -(1 + y) crosses
+    the unit circle as y turns."""
+    with pytest.raises(NeedsDeeperPointError):
+        component_order(line(), (0.0, 0.0))
+
+
+def test_nonconverged_roots_raise(monkeypatch):
+    solve = amoeba.aberth_roots_batch
+
+    def one_lost(coeffs):
+        roots = solve(coeffs)
+        roots[0, 0] = np.nan
+        return roots
+
+    monkeypatch.setattr(amoeba, "aberth_roots_batch", one_lost)
+    with pytest.raises(NeedsDeeperPointError):
+        component_order(line(), (10.0, -10.0))
+    monkeypatch.setattr(amoeba, "aberth_roots_batch", lambda c: np.full(
+        (len(c), c.shape[1] - 1), np.nan, dtype=complex))
+    with pytest.raises(NeedsDeeperPointError):
+        component_order(line(), (-10.0, -10.0))
+
+
+def cross_polytope_3d(rng):
+    """c + sum_j (a_j x_j + b_j / x_j) in three variables."""
+    terms = {(0, 0, 0): float(10 ** rng.uniform(0.0, 2.0))}
+    for j in range(3):
+        unit = [0, 0, 0]
+        unit[j] = 1
+        terms[tuple(unit)] = float(10 ** rng.uniform(-2.0, 2.0))
+        unit[j] = -1
+        terms[tuple(unit)] = float(10 ** rng.uniform(-2.0, 2.0))
+    return LP(3, terms)
+
+
+def test_three_variable_orders_equal_lopsided_exponents():
+    rng = np.random.default_rng(3)
+    checked = set()
+    for _ in range(6):
+        p = cross_polytope_3d(rng)
+        for xi in rng.uniform(-8.0, 8.0, (12, 3)):
+            alpha = lopsided_at(p, xi)
+            if alpha is not None:
+                assert component_order(p, xi) == alpha
+                checked.add(alpha)
+    assert len(checked) == 7  # the constant and all six vertices
+
+
+@pytest.mark.parametrize(
+    "p", [LP(1, {(0,): 1, (1,): 1}), line(), cross_polytope_3d(np.random.default_rng(3))]
+)
+def test_component_order_solves_one_fiber_per_coordinate(p, monkeypatch):
+    calls = []
+    solve = amoeba._fiber_roots
+
+    def counted(rows):
+        calls.append(rows.shape)
+        return solve(rows)
+
+    monkeypatch.setattr(amoeba, "_fiber_roots", counted)
+    component_order(p, (-12.0,) * p.n)
+    assert [rows for rows, _ in calls] == [amoeba.ORDER_ANGLES] * p.n
 
 
 # -- lopsidedness ---------------------------------------------------------

@@ -123,6 +123,26 @@ def test_atomic_write_no_temp_residue(tmp_path):
     assert [f for f in os.listdir(tmp_path) if f.endswith(".tmp")] == []
 
 
+def test_atomic_write_of_a_text_longer_than_one_slice(tmp_path):
+    """Text of several 1 MiB slices, with multi-byte characters on the slice
+    boundaries, is written byte for byte."""
+    target = tmp_path / "big.txt"
+    text = ("ab\u00e9\u2013\U0001d400\n" * 700_000)[: 3 * (1 << 20) + 5]
+    io.atomic_write_text(str(target), text)
+    assert target.read_bytes() == text.encode()
+
+
+def test_atomic_write_failing_late_keeps_the_old_file(tmp_path):
+    """A text that fails to encode after its first slice leaves the old file
+    and no temp file."""
+    target = tmp_path / "out.txt"
+    io.atomic_write_text(str(target), "old")
+    with pytest.raises(UnicodeEncodeError):
+        io.atomic_write_text(str(target), "x" * (1 << 20) + "\ud800")
+    assert target.read_text() == "old"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
 # -- CLI ------------------------------------------------------------------
 
 

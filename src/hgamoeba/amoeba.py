@@ -7,13 +7,14 @@ The fiber sweep and the component orders both rest on it.
 The fiber sweep samples the zero locus column by column: fix the modulus of
 one coordinate, sweep a ring of angles, solve the fiber in the other
 coordinate and take the log-moduli of the roots; both coordinate roles are
-swept.  For real coefficients half the ring of angles is solved and mirrored
-onto the other half, since the fiber at 2 pi - theta has the conjugate roots
-of the fiber at theta; complex coefficients get the whole ring.  The sweep
-has two views.  The amoeba raster here bins the samples into pixels and
-dilates the union by one pixel to close sampling gaps; the compactified
-amoeba (``moment.rasterize_wca``) maps the same samples through the moment
-map.
+swept, and the fibers of a block of consecutive columns are solved
+together.  For real coefficients half the ring of angles is solved and
+mirrored onto the other half, since the fiber at 2 pi - theta has the
+conjugate roots of the fiber at theta; complex coefficients get the whole
+ring.  The sweep has two views.  The amoeba raster here bins the samples
+into pixels and dilates the union by one pixel to close sampling gaps; the
+compactified amoeba (``moment.rasterize_wca``) maps the same samples through
+the moment map.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .polytope import lattice_points, newton_polytope
 from .roots import aberth_roots_batch
 
 ORDER_ANGLES = 64  # ring of fiber angles on which component_order counts roots
+FIBER_BLOCK_ROWS = 2048  # fiber rows the sweep solves at once, in whole columns
 DILATION_PIXELS = 1  # sampling-gap closing of the amoeba and WCA rasters
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 
@@ -163,37 +165,55 @@ def _sweep(p, w: LogWindow):
     For each axis and each column of that coordinate, at log-modulus u, yields
     (axis, column, u, finite log-moduli of the fiber roots in the other
     coordinate) over the window's ring of angles.  A generator, so that the
-    raster never holds more than one column of samples.
+    raster never holds more than one block of columns of samples.
 
-    The N angles (k + 1/2) 2 pi / N pair up as k <-> N - 1 - k, angle theta
-    with 2 pi - theta.  With real coefficients the fiber at 2 pi - theta is
-    the conjugate of the fiber at theta and has the same root moduli, so only
-    the angles k < ceil(N / 2) are solved and their log-moduli are copied
-    into the mirrored slots; an odd N solves its middle angle pi once.  Any
-    coefficient with a nonzero imaginary part breaks the symmetry, and then
-    every angle is solved.
+    The fibers of consecutive columns are built and solved together, in
+    blocks of about ``FIBER_BLOCK_ROWS`` rows, because one solve per column
+    leaves the root solver little to batch over.  The roots of a fiber do
+    not depend on the block it is solved in.
+
+    The ring of angles is ``_ring``: with real coefficients only its first
+    half is solved, and the log-moduli of angle k < ceil(N / 2) are copied
+    into the mirrored slot N - 1 - k.
     """
     exps, coeffs = _term_arrays(p)
     exps -= np.minimum(exps.min(axis=0), 0)  # a monomial factor moves no root
     n_angles = w.angular_samples
-    solved = n_angles if coeffs.imag.any() else -(-n_angles // 2)
-    angles = 2.0 * np.pi * (np.arange(solved) + 0.5) / n_angles
+    angles = _ring(coeffs, n_angles)
+    solved = len(angles)
+    block = max(1, FIBER_BLOCK_ROWS // solved)
     log_c = np.log(np.abs(coeffs)) + 1j * np.angle(coeffs)
     u_bounds = ((w.x_min, w.x_max), (w.y_min, w.y_max))
-    log_x = np.zeros((solved, 2), dtype=complex)
     for axis in (0, 1):
         if exps[:, 1 - axis].max() == 0:
             continue
         u_min, u_max = u_bounds[axis]
         du = (u_max - u_min) / w.resolution
-        for i in range(w.resolution):
-            u = u_min + (i + 0.5) * du
-            log_x[:, axis] = u + 1j * angles
+        for i0 in range(0, w.resolution, block):
+            cols = np.arange(i0, min(i0 + block, w.resolution))
+            us = u_min + (cols + 0.5) * du
+            log_x = np.zeros((len(cols) * solved, 2), dtype=complex)
+            log_x[:, axis] = (us[:, None] + 1j * angles).ravel()
             roots = _fiber_roots(_fiber_rows(exps, log_c, 1 - axis, log_x))
             with np.errstate(divide="ignore", invalid="ignore"):
-                logabs = np.log(np.abs(roots))
-            logabs = np.concatenate([logabs, logabs[: n_angles - solved][::-1]])
-            yield axis, i, u, logabs[np.isfinite(logabs)]
+                logabs = np.log(np.abs(roots)).reshape(len(cols), solved, -1)
+            for i, u, col in zip(cols.tolist(), us.tolist(), logabs):
+                col = np.concatenate([col, col[: n_angles - solved][::-1]])
+                yield axis, i, u, col[np.isfinite(col)]
+
+
+def _ring(coeffs: np.ndarray, n_angles: int) -> np.ndarray:
+    """The angles (k + 1/2) 2 pi / N of a ring of N fibers that need solving.
+
+    Angle k pairs with N - 1 - k, theta with 2 pi - theta.  With real
+    coefficients the fiber at 2 pi - theta is the conjugate of the fiber at
+    theta: same root moduli, same count inside the unit circle.  So only the
+    angles k < ceil(N / 2) are returned; an odd N keeps its middle angle pi
+    once.  Any coefficient with a nonzero imaginary part breaks the symmetry,
+    and then all N angles are returned.
+    """
+    solved = n_angles if coeffs.imag.any() else -(-n_angles // 2)
+    return 2.0 * np.pi * (np.arange(solved) + 0.5) / n_angles
 
 
 def _fiber_rows(exps: np.ndarray, log_c: np.ndarray, j: int, log_x: np.ndarray) -> np.ndarray:
@@ -248,8 +268,9 @@ def component_order(p, xi: Sequence[float]) -> tuple[int, ...]:
     By the argument principle, order j is the number of roots of the fiber
     in x_j with log|x_j| < xi_j, the other x_k at modulus e^{xi_k}, for p
     shifted to nonnegative exponents, plus that shift: a monomial factor x^a
-    adds a to every order.  The fiber is solved on a ring of
-    ``ORDER_ANGLES`` angles, all other coordinates turned together.  A count
+    adds a to every order.  The fiber is solved on the ring (``_ring``) of
+    ``ORDER_ANGLES`` angles, all other coordinates turned together; for real
+    coefficients half the ring stands for the whole.  A count
     that varies between angles (xi lies on the amoeba) or a root that did
     not converge raises ``NeedsDeeperPointError``.
     """
@@ -258,8 +279,7 @@ def component_order(p, xi: Sequence[float]) -> tuple[int, ...]:
     shift = np.minimum(exps.min(axis=0), 0)
     exps -= shift
     log_c = np.log(np.abs(coeffs)) + 1j * np.angle(coeffs)
-    angles = 2.0 * np.pi * (np.arange(ORDER_ANGLES) + 0.5) / ORDER_ANGLES
-    log_x = xi + 1j * angles[:, None]
+    log_x = xi + 1j * _ring(coeffs, ORDER_ANGLES)[:, None]
     order = []
     for j in range(p.n):
         # x_j = e^{xi_j} t: rows scaled at xi itself; count the roots with |t| < 1

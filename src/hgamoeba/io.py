@@ -8,7 +8,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -20,16 +20,30 @@ from .polytope import IntegerPolytope, facet_description
 
 # -- atomic writing ------------------------------------------------------
 
-def atomic_write_text(path: str, text: str) -> None:
-    # encoded in 1 MiB slices, so a large text is never copied whole as bytes
-    step = 1 << 20
-    _atomic_write(path, (text[k : k + step].encode() for k in range(0, len(text), step)))
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
+    """Write a string, or an iterable of string chunks, as UTF-8."""
+    chunks = text
+    if isinstance(text, str):
+        # encoded in 1 MiB slices, so a large text is never copied whole as bytes
+        step = 1 << 20
+        chunks = (text[k : k + step] for k in range(0, len(text), step))
+    _atomic_write(path, (chunk.encode() for chunk in chunks))
 
 
 def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
+    """Write through a temp file in the same directory and rename it over
+    ``path``.  The file gets the mode a plain ``open(path, "w")`` would give:
+    the old file's mode, or 0o666 less the umask for a new file."""
     directory = os.path.dirname(os.path.abspath(path))
+    try:
+        mode = os.stat(path).st_mode & 0o7777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        os.fchmod(fd, mode)
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
@@ -166,13 +180,18 @@ def aster_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cloud_to_csv(clouds) -> str:
-    chunks = ["r,u,v\n"]
+CSV_SLICE_ROWS = 1 << 16  # rows of cloud CSV text formatted at a time
+
+
+def cloud_to_csv(clouds) -> Iterator[str]:
+    """The clouds as CSV text (r, u, v per point), yielded in slices of at
+    most ``CSV_SLICE_ROWS`` rows so that the whole text is never held."""
+    yield "r,u,v\n"
     for cloud in clouds:
         r = float(cloud.hadamard_order)
-        u, v = cloud.points.T.tolist()
-        chunks.append("".join([f"{r!r},{a!r},{b!r}\n" for a, b in zip(u, v)]))
-    return "".join(chunks)
+        for k in range(0, len(cloud.points), CSV_SLICE_ROWS):
+            u, v = cloud.points[k : k + CSV_SLICE_ROWS].T.tolist()
+            yield "".join([f"{r!r},{a!r},{b!r}\n" for a, b in zip(u, v)])
 
 
 # -- PPM rasters ---------------------------------------------------------

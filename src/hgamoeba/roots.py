@@ -2,8 +2,9 @@
 
 Aberth-Ehrlich iteration in the style of Bini (Numer. Algorithms 13, 1996)
 and MPSolve (Bini & Robol 2014).  The batch entry point solves many
-same-degree polynomials at once, which is what the rasterizer needs (one
-polynomial per sampled angle).
+same-degree polynomials at once, which is what the rasterizer needs: the
+fiber sweep hands it a block of pixel columns, one polynomial per sampled
+angle of each column.
 
 * Start: the roots of a row start on circles whose log-radii are minus the
   slopes of the upper convex hull of (k, log|c_k|), the Newton polygon of
@@ -16,6 +17,14 @@ polynomial per sampled angle).
   the reversed polynomial in 1/z, so neither overflows nor loses digits.
 * No silent failures: a root that still fails the test after ``MAX_ITER``
   iterations is returned as NaN.
+
+The kernel works on vectors with one entry per row or per unfinished root,
+and keeps its temporaries in place (``out=`` and in-place operators), so a
+block of a few thousand rows costs a few MB and no gathers of whole
+coefficient rows.  The hull slopes are built by a loop over pairs of
+coefficients on length-m vectors rather than as an (m, d + 1, d + 1) array,
+which would be the largest temporary of the solve.  Each row's roots depend
+only on that row, so the result is the same however the rows are batched.
 """
 
 from __future__ import annotations
@@ -40,24 +49,28 @@ def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
         logs = np.log(np.abs(c))
     # zero interior coefficients lie far below the hull; a finite stand-in
     # keeps the slope arithmetic free of inf - inf
-    logs = np.maximum(logs, -1e300)
-    k = np.arange(width)
-    gap = k[None, :] - k[:, None]  # gap[i, j] = j - i
-    upper = gap > 0
-    slope = np.full((m, width, width), -np.inf)
-    slope[:, upper] = (logs[:, None, :] - logs[:, :, None])[:, upper] / gap[upper]
-    # hull slope on [j-1, j] is min over i < j of max over l >= j of slope[i, l]
-    tail_max = np.maximum.accumulate(slope[:, :, ::-1], axis=2)[:, :, ::-1]
-    tail_max[:, ~upper] = np.inf
-    hull = tail_max.min(axis=1)[:, 1:]  # (m, d), nonincreasing along a row
+    logs = np.maximum(logs, -1e300).T.copy()  # logs[k] is coefficient k of every row
+    # hull slope on [j-1, j] is min over i < j of max over l >= j of the
+    # slope from i to l; tail holds that max for the current i and l = j
+    hull = np.full((d, m), np.inf)
+    tail = np.empty(m)
+    for i in range(d):
+        tail.fill(-np.inf)
+        for l in range(d, i, -1):
+            np.maximum(tail, (logs[l] - logs[i]) / (l - i), out=tail)
+            np.minimum(hull[l - 1], tail, out=hull[l - 1])
+    hull = hull.T  # (m, d), nonincreasing along a row
     log_r = np.clip(-hull, -_LOG_RADIUS_CAP, _LOG_RADIUS_CAP)
 
     # spread the roots of one edge over the whole circle: on coefficients
     # spanning 1e+-30 this takes about 40 % fewer iterations than spacing
     # all d roots 2 pi / d apart
-    same_edge = np.isclose(hull[:, :, None], hull[:, None, :], rtol=1e-9, atol=1e-9)
-    first = same_edge.argmax(axis=2)
-    edge_width = same_edge.sum(axis=2)
+    first = np.empty((m, d), dtype=np.intp)
+    edge_width = np.empty((m, d), dtype=np.intp)
+    for j in range(d):
+        same_edge = np.isclose(hull[:, j, None], hull, rtol=1e-9, atol=1e-9)
+        first[:, j] = same_edge.argmax(axis=1)
+        edge_width[:, j] = same_edge.sum(axis=1)
     angle = 2.0 * np.pi * ((np.arange(d) - first) / edge_width + first / d) + 0.7
     return np.exp(log_r + 1j * angle)
 
@@ -68,43 +81,61 @@ def _aberth(c: np.ndarray) -> np.ndarray:
     m, width = c.shape
     d = width - 1
     z = _newton_polygon_start(c).ravel()
+    rows_of_z = z.reshape(m, d)
     tol = BACKWARD_TOL * d * _EPS
-    # row i in z^k order at [2i], in (1/z)^k order at [2i + 1]
-    both = np.stack([c, c[:, ::-1]], axis=1).reshape(-1, width)
+    # coefficient k of row i in z^k order at [k, 2i], in (1/z)^k order at [k, 2i + 1]
+    both = np.stack([c, c[:, ::-1]], axis=1).reshape(-1, width).T.copy()
     both_abs = np.abs(both)
     idx = np.arange(m * d)
     with np.errstate(all="ignore"):
         for it in range(MAX_ITER + 1):
             zi = z[idx]
-            big = np.abs(zi) > 1.0
-            t = np.where(big, 1.0 / zi, zi)
+            at = np.abs(zi)
+            big = at > 1.0
+            t = np.divide(1.0, zi)
+            np.copyto(t, zi, where=~big)
             pick = 2 * (idx // d) + big
-            a = both[pick]
-            a_abs = both_abs[pick]
-            at = np.abs(t)
-            val = a[:, d]
+            np.abs(t, out=at)
+            # Horner on p and p', with the size sum_k |c_k| |t|^k alongside
+            val = both[d].take(pick)
             der = np.zeros_like(val)
-            size = a_abs[:, d]
+            size = both_abs[d].take(pick)
             for k in range(d - 1, -1, -1):
-                der = der * t + val
-                val = val * t + a[:, k]
-                size = size * at + a_abs[:, k]
-            moving = ~(np.abs(val) <= tol * size)
+                der *= t
+                der += val
+                val *= t
+                val += both[k].take(pick)
+                size *= at
+                size += both_abs[k].take(pick)
+            np.multiply(tol, size, out=size)
+            moving = ~(np.abs(val, out=at) <= size)
             idx, zi = idx[moving], zi[moving]
             if idx.size == 0 or it == MAX_ITER:
                 break
             t, val, der, big = t[moving], val[moving], der[moving], big[moving]
-            newton = np.where(big, zi * val / (d * val - t * der), val / der)
-            row_start = idx - idx % d
-            diff = zi[:, None] - z[row_start[:, None] + np.arange(d)]
+            # Newton step val / der, or zi val / (d val - t der) through 1/z
+            newton = val / der
+            den = np.multiply(d, val)
+            den -= np.multiply(t, der, out=der)
+            np.multiply(zi, val, out=val)
+            np.divide(val, den, out=val)
+            np.copyto(newton, val, where=big)
+            # Aberth correction: sum over the other roots of the row of 1 / (zi - zj)
+            diff = rows_of_z.take(idx // d, axis=0)
+            np.subtract(zi[:, None], diff, out=diff)
             diff[np.arange(idx.size), idx % d] = np.inf
-            repulsion = (1.0 / diff).sum(axis=1)
-            step = newton / (1.0 - newton * repulsion)
-            step = np.where(np.isfinite(step), step, newton)
-            step = np.where(np.isfinite(step), step, 0.0)
-            z[idx] = zi - step
+            np.divide(1.0, diff, out=diff)
+            step = diff.sum(axis=1)
+            del diff  # the largest temporary: not alive when the next one is made
+            np.multiply(newton, step, out=step)
+            np.subtract(1.0, step, out=step)
+            np.divide(newton, step, out=step)
+            bad = ~np.isfinite(step)
+            step[bad] = newton[bad]
+            step[~np.isfinite(step)] = 0.0
+            z[idx] = np.subtract(zi, step, out=step)
     z[idx] = np.nan
-    return z.reshape(m, d)
+    return rows_of_z
 
 
 def aberth_roots_batch(coeffs: np.ndarray) -> np.ndarray:

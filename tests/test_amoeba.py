@@ -10,6 +10,7 @@ from scipy import ndimage
 
 from hgamoeba import (
     AmoebaRaster,
+    ComplexLaurentPolynomial,
     DomainError,
     LaurentPolynomial,
     LogWindow,
@@ -345,9 +346,16 @@ def test_three_variable_orders_equal_lopsided_exponents():
 
 
 @pytest.mark.parametrize(
-    "p", [LP(1, {(0,): 1, (1,): 1}), line(), cross_polytope_3d(np.random.default_rng(3))]
+    "p",
+    [
+        LP(1, {(0,): 1, (1,): 1}),
+        line(),
+        cross_polytope_3d(np.random.default_rng(3)),
+        ComplexLaurentPolynomial(2, {(0, 0): 1, (1, 0): 1j, (0, 1): 1}),
+    ],
 )
 def test_component_order_solves_one_fiber_per_coordinate(p, monkeypatch):
+    """One solve per coordinate, over half the ring for real coefficients."""
     calls = []
     solve = amoeba._fiber_roots
 
@@ -357,7 +365,30 @@ def test_component_order_solves_one_fiber_per_coordinate(p, monkeypatch):
 
     monkeypatch.setattr(amoeba, "_fiber_roots", counted)
     component_order(p, (-12.0,) * p.n)
-    assert [rows for rows, _ in calls] == [amoeba.ORDER_ANGLES] * p.n
+    real = all(complex(c).imag == 0 for c in p.terms.values())
+    solved = amoeba.ORDER_ANGLES // 2 if real else amoeba.ORDER_ANGLES
+    assert [rows for rows, _ in calls] == [solved] * p.n
+
+
+def test_half_ring_orders_equal_the_full_ring(p1_paper, monkeypatch):
+    """Conjugate fibers count alike: on and off the amoeba, half the ring of
+    a real polynomial gives the order, or the error, of the whole ring."""
+    rng = np.random.default_rng(5)
+    points = [tuple(xi) for xi in rng.uniform(-12.0, 12.0, (40, 2))]
+
+    def outcomes():
+        out = []
+        for xi in points:
+            try:
+                out.append(component_order(p1_paper, xi))
+            except NeedsDeeperPointError:
+                out.append(None)
+        return out
+
+    half = outcomes()
+    monkeypatch.setattr(amoeba, "_ring", lambda c, n: 2.0 * np.pi * (np.arange(n) + 0.5) / n)
+    assert half == outcomes()
+    assert None in half and len(set(half) - {None}) >= 10
 
 
 # -- lopsidedness ---------------------------------------------------------

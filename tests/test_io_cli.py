@@ -95,7 +95,7 @@ def test_cloud_csv_format(p3_paper):
     from hgamoeba import LogWindow, rasterize_wca
 
     cloud = rasterize_wca(p3_paper, LogWindow(-6, 6, -6, 6, 60, 64))
-    text = io.cloud_to_csv([cloud])
+    text = "".join(io.cloud_to_csv([cloud]))
     lines = text.strip().split("\n")
     assert lines[0] == "r,u,v"
     assert len(lines) == len(cloud.points) + 1
@@ -130,6 +130,41 @@ def test_atomic_write_of_a_text_longer_than_one_slice(tmp_path):
     text = ("ab\u00e9\u2013\U0001d400\n" * 700_000)[: 3 * (1 << 20) + 5]
     io.atomic_write_text(str(target), text)
     assert target.read_bytes() == text.encode()
+
+
+def test_cloud_csv_comes_in_bounded_slices(p3_paper, monkeypatch):
+    """Each chunk holds at most CSV_SLICE_ROWS rows; together they are the
+    rows of every cloud in order."""
+    from hgamoeba import LogWindow, rasterize_wca
+
+    cloud = rasterize_wca(p3_paper, LogWindow(-6, 6, -6, 6, 20, 64))
+    monkeypatch.setattr(io, "CSV_SLICE_ROWS", 100)
+    chunks = list(io.cloud_to_csv([cloud, cloud]))
+    assert chunks[0] == "r,u,v\n"
+    assert max(chunk.count("\n") for chunk in chunks) == 100
+    rows = "".join(chunks[1:]).splitlines()
+    want = [f"1.0,{u!r},{v!r}" for u, v in cloud.points.tolist()]
+    assert rows == want + want
+
+
+def test_atomic_write_of_text_chunks(tmp_path):
+    target = tmp_path / "out.txt"
+    io.atomic_write_text(str(target), iter(["a\u00e9,", "", "b\n"]))
+    assert target.read_bytes() == "a\u00e9,b\n".encode()
+
+
+def test_atomic_write_gives_the_mode_of_a_plain_write(tmp_path):
+    """A new file gets 0o666 less the umask, as open(path, "w") gives it; an
+    existing file keeps its mode."""
+    plain = tmp_path / "plain.txt"
+    with open(plain, "w") as fh:
+        fh.write("x")
+    target = tmp_path / "out.txt"
+    io.atomic_write_text(str(target), "x")
+    assert os.stat(target).st_mode == os.stat(plain).st_mode
+    os.chmod(target, 0o640)
+    io.atomic_write_text(str(target), "y")
+    assert os.stat(target).st_mode & 0o7777 == 0o640
 
 
 def test_atomic_write_failing_late_keeps_the_old_file(tmp_path):
@@ -324,6 +359,16 @@ def test_cli_wca_and_hadamard(tmp_path, p3_file):
     assert code == 0
     lines = out_h.read_text().strip().split("\n")
     assert {ln.split(",")[0] for ln in lines[1:]} == {"1.0", "2.0"}
+
+
+def test_cli_hadamard_csv_has_the_mode_of_a_plain_write(tmp_path, p3_file):
+    plain = tmp_path / "plain.csv"
+    with open(plain, "w") as fh:
+        fh.write("r,u,v\n")
+    out = tmp_path / "h.csv"
+    argv = ["hadamard", p3_file, "--r", "1", "-o", str(out), "--res", "24", "--angles", "64"]
+    assert main(argv) == 0
+    assert os.stat(out).st_mode == os.stat(plain).st_mode
 
 
 def test_cli_csv_fields_are_numbers(tmp_path, p3_file):

@@ -1,12 +1,15 @@
 """Univariate and batched simultaneous root finding."""
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hgamoeba import aberth_roots_batch, univariate_roots
+from hgamoeba import aberth_roots_batch, amoeba, univariate_roots
+from hgamoeba import roots as kernel
 
 
 def test_linear():
@@ -166,3 +169,132 @@ def test_vieta_degree_12(coeffs):
     expected_p = coeffs[0] / lead
     assert abs(s - (-coeffs[-2] / lead)) < 1e-8 * max(1.0, 12 * maxr)
     assert abs(p - expected_p) < 1e-8 * max(1.0, abs(expected_p))
+
+
+# -- the in-place kernel against the array kernel it replaced ---------------
+#
+# ``reference_start`` and ``reference_aberth`` are the kernel as it was
+# before it computed in place: the hull slopes as one (m, d + 1, d + 1) array,
+# Horner on whole gathered coefficient rows.  The in-place kernel performs
+# the same floating-point operations in the same order, so its roots must be
+# bitwise equal, NaNs included.
+
+
+def reference_start(c):
+    m, width = c.shape
+    d = width - 1
+    with np.errstate(divide="ignore"):
+        logs = np.log(np.abs(c))
+    logs = np.maximum(logs, -1e300)
+    k = np.arange(width)
+    gap = k[None, :] - k[:, None]
+    upper = gap > 0
+    slope = np.full((m, width, width), -np.inf)
+    slope[:, upper] = (logs[:, None, :] - logs[:, :, None])[:, upper] / gap[upper]
+    tail_max = np.maximum.accumulate(slope[:, :, ::-1], axis=2)[:, :, ::-1]
+    tail_max[:, ~upper] = np.inf
+    hull = tail_max.min(axis=1)[:, 1:]
+    log_r = np.clip(-hull, -kernel._LOG_RADIUS_CAP, kernel._LOG_RADIUS_CAP)
+    same_edge = np.isclose(hull[:, :, None], hull[:, None, :], rtol=1e-9, atol=1e-9)
+    first = same_edge.argmax(axis=2)
+    edge_width = same_edge.sum(axis=2)
+    angle = 2.0 * np.pi * ((np.arange(d) - first) / edge_width + first / d) + 0.7
+    return np.exp(log_r + 1j * angle)
+
+
+def reference_aberth(c):
+    m, width = c.shape
+    d = width - 1
+    z = reference_start(c).ravel()
+    tol = kernel.BACKWARD_TOL * d * kernel._EPS
+    both = np.stack([c, c[:, ::-1]], axis=1).reshape(-1, width)
+    both_abs = np.abs(both)
+    idx = np.arange(m * d)
+    with np.errstate(all="ignore"):
+        for it in range(kernel.MAX_ITER + 1):
+            zi = z[idx]
+            big = np.abs(zi) > 1.0
+            t = np.where(big, 1.0 / zi, zi)
+            pick = 2 * (idx // d) + big
+            a = both[pick]
+            a_abs = both_abs[pick]
+            at = np.abs(t)
+            val = a[:, d]
+            der = np.zeros_like(val)
+            size = a_abs[:, d]
+            for k in range(d - 1, -1, -1):
+                der = der * t + val
+                val = val * t + a[:, k]
+                size = size * at + a_abs[:, k]
+            moving = ~(np.abs(val) <= tol * size)
+            idx, zi = idx[moving], zi[moving]
+            if idx.size == 0 or it == kernel.MAX_ITER:
+                break
+            t, val, der, big = t[moving], val[moving], der[moving], big[moving]
+            newton = np.where(big, zi * val / (d * val - t * der), val / der)
+            row_start = idx - idx % d
+            diff = zi[:, None] - z[row_start[:, None] + np.arange(d)]
+            diff[np.arange(idx.size), idx % d] = np.inf
+            repulsion = (1.0 / diff).sum(axis=1)
+            step = newton / (1.0 - newton * repulsion)
+            step = np.where(np.isfinite(step), step, newton)
+            step = np.where(np.isfinite(step), step, 0.0)
+            z[idx] = zi - step
+    z[idx] = np.nan
+    return z.reshape(m, d)
+
+
+def assert_kernel_matches_reference(c):
+    assert np.array_equal(kernel._newton_polygon_start(c), reference_start(c))
+    assert np.array_equal(kernel._aberth(c), reference_aberth(c), equal_nan=True)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_kernel_matches_reference_on_wide_coefficients(d):
+    rng = np.random.default_rng(1000 + d)
+    m = 257
+    mags = 10.0 ** rng.uniform(-30, 30, size=(m, d + 1))
+    assert_kernel_matches_reference(mags * np.exp(2j * np.pi * rng.random((m, d + 1))))
+    c = rng.normal(size=(m, d + 1)) + 1j * rng.normal(size=(m, d + 1))
+    c[:, 1:-1][rng.random((m, d - 1)) < 0.4] = 0  # zero interior coefficients
+    assert_kernel_matches_reference(c)
+
+
+def test_kernel_matches_reference_on_a_root_beyond_the_float_range():
+    c = np.array([[1e300, 1e-300], [1.0, 1.0], [1e-300, 1e300]], dtype=complex)
+    assert np.isnan(kernel._aberth(c)[0, 0])
+    assert_kernel_matches_reference(c)
+
+
+def test_kernel_matches_reference_on_p1_fiber_rows(p1_paper):
+    """A block of p1 fiber rows as the sweep builds them, in both axes."""
+    exps, coeffs = amoeba._term_arrays(p1_paper)
+    log_c = np.log(np.abs(coeffs)) + 1j * np.angle(coeffs)
+    ring = amoeba._ring(coeffs, 512)
+    for axis in (0, 1):
+        log_x = np.zeros((3 * len(ring), 2), dtype=complex)
+        log_x[:, axis] = (np.array([-7.9, 0.05, 6.3])[:, None] + 1j * ring).ravel()
+        rows = amoeba._fiber_rows(exps, log_c, 1 - axis, log_x)
+        assert (rows[:, 0] != 0).all() and (rows[:, -1] != 0).all()
+        assert_kernel_matches_reference(rows)
+
+
+def test_kernel_roots_do_not_depend_on_the_batch():
+    rng = np.random.default_rng(11)
+    c = 10.0 ** rng.uniform(-8, 8, size=(600, 7)) * np.exp(2j * np.pi * rng.random((600, 7)))
+    whole = aberth_roots_batch(c)
+    parts = np.concatenate([aberth_roots_batch(c[k : k + 97]) for k in range(0, 600, 97)])
+    assert np.array_equal(whole, parts, equal_nan=True)
+
+
+def test_kernel_memory_peak_on_a_sweep_block():
+    """2048 degree-6 rows, one block of the sweep, peak at most 5 MB."""
+    rng = np.random.default_rng(6)
+    c = rng.normal(size=(2048, 7)) + 1j * rng.normal(size=(2048, 7))
+    tracemalloc.start()
+    try:
+        aberth_roots_batch(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6

@@ -61,7 +61,10 @@ def oracle_cloud(p, w):
 
 
 def rows_per_solve(monkeypatch):
-    """Record the number of fiber rows of every ``_fiber_roots`` call."""
+    """Record the number of fiber rows of every ``_fiber_roots`` call.
+
+    The sweep solves whole columns in blocks, so each call holds a multiple
+    of the angles solved per column."""
     rows = []
     solve = amoeba._fiber_roots
 
@@ -71,6 +74,12 @@ def rows_per_solve(monkeypatch):
 
     monkeypatch.setattr(amoeba, "_fiber_roots", counted)
     return rows
+
+
+def assert_solved_per_column(rows, solved, w):
+    """Every column of both axes solves ``solved`` angles, in whole columns."""
+    assert sum(rows) == 2 * w.resolution * solved
+    assert all(n % solved == 0 for n in rows)
 
 
 @pytest.fixture
@@ -96,8 +105,7 @@ def test_raster_equals_the_full_sweep(name, angles, request, monkeypatch):
     assert want.any() and not want.all()
     assert np.array_equal(got, want)
     # an odd ring solves its self-conjugate angle pi once: 33 of 65
-    assert set(rows) == {(angles + 1) // 2}
-    assert len(rows) == 2 * w.resolution
+    assert_solved_per_column(rows, (angles + 1) // 2, w)
 
 
 def test_complex_coefficients_sweep_every_angle(p3_paper, monkeypatch):
@@ -108,7 +116,7 @@ def test_complex_coefficients_sweep_every_angle(p3_paper, monkeypatch):
     want = oracle_raster(q, w)
     rows = rows_per_solve(monkeypatch)
     assert np.array_equal(rasterize_amoeba(q, w).grid, want)
-    assert rows == [64] * (2 * w.resolution)
+    assert_solved_per_column(rows, 64, w)
 
 
 def test_real_valued_fractional_hadamard_power_is_mirrored(p3_paper, monkeypatch):
@@ -119,7 +127,17 @@ def test_real_valued_fractional_hadamard_power_is_mirrored(p3_paper, monkeypatch
     want = oracle_raster(q, w)
     rows = rows_per_solve(monkeypatch)
     assert np.array_equal(rasterize_amoeba(q, w).grid, want)
-    assert rows == [32] * (2 * w.resolution)
+    assert_solved_per_column(rows, 32, w)
+
+
+def test_sweep_solves_blocks_of_columns(p1_paper, monkeypatch):
+    """At 512 angles a real sweep solves 256 per column, 8 columns a block."""
+    w = adaptive_window(p1_paper, 20, 512)
+    rows = rows_per_solve(monkeypatch)
+    columns = [i for _, i, _, _ in amoeba._sweep(p1_paper, w)]
+    assert columns == list(range(20)) * 2
+    assert amoeba.FIBER_BLOCK_ROWS == 2048
+    assert rows == [2048, 2048, 1024] * 2
 
 
 @pytest.mark.parametrize("power", [1, 6])

@@ -21,6 +21,8 @@ from .errors import DomainError
 from .laurent import LaurentPolynomial
 from .polytope import IntegerPolytope, newton_polytope
 
+MOMENT_BLOCK_ROWS = 1 << 14  # cloud samples mapped through the moment map at a time
+
 
 @dataclass
 class MomentImagePointCloud:
@@ -39,13 +41,22 @@ def moment_map(p, x: Sequence[complex], weighted: bool = True) -> np.ndarray:
 
 def _moment_from_logs(p, xi_rows: np.ndarray, weighted: bool) -> np.ndarray:
     exps, coeffs = _term_arrays(p)
-    # in place: a cloud's (samples, terms) arrays are its largest temporaries
-    logs = xi_rows @ exps.T
-    if weighted:
-        logs += np.array([math.log(abs(c)) for c in coeffs])
-    logs -= logs.max(axis=1, keepdims=True)
-    w = np.exp(logs, out=logs)
-    return (w @ exps) / w.sum(axis=1, keepdims=True)
+    log_a = np.array([math.log(abs(c)) for c in coeffs]) if weighted else None
+    out = np.empty((len(xi_rows), exps.shape[1]))
+    # in blocks of rows, in place: the (samples, terms) arrays are a cloud's
+    # largest temporaries, and a whole-cloud one would be several times the
+    # cloud; every row is computed as it would be in one piece
+    starts = list(range(0, len(xi_rows), MOMENT_BLOCK_ROWS))
+    if len(starts) > 1 and len(xi_rows) - starts[-1] == 1:
+        starts.pop()  # a lone last row would be a vector product, rounded otherwise
+    for k, end in zip(starts, starts[1:] + [len(xi_rows)]):
+        logs = xi_rows[k:end] @ exps.T
+        if weighted:
+            logs += log_a
+        logs -= logs.max(axis=1, keepdims=True)
+        w = np.exp(logs, out=logs)
+        np.divide(w @ exps, w.sum(axis=1, keepdims=True), out=out[k:end])
+    return out
 
 
 def rasterize_wca(p, w: Optional[LogWindow] = None, weighted: bool = True) -> MomentImagePointCloud:

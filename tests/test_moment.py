@@ -23,7 +23,8 @@ from hgamoeba import (
     skeleton_approximation,
     wca_occupancy,
 )
-from hgamoeba.moment import _zero_locus_log_points
+from hgamoeba import moment
+from hgamoeba.moment import _moment_from_logs, _zero_locus_log_points
 
 LP = LaurentPolynomial
 
@@ -80,6 +81,42 @@ def test_moment_map_extreme_point_no_overflow():
     out = moment_map(p, (1e130, 1.0))
     assert np.all(np.isfinite(out))
     assert np.allclose(out, [3.0, 0.0], atol=1e-10)
+
+
+def whole_moment_from_logs(p, xi_rows, weighted):
+    """The moment map of all rows in one piece, as before it ran in blocks."""
+    exps = np.array([e for e, _ in p.sorted_terms()], dtype=float)
+    logs = xi_rows @ exps.T
+    if weighted:
+        logs += np.array([float(np.log(abs(float(c)))) for _, c in p.sorted_terms()])
+    logs -= logs.max(axis=1, keepdims=True)
+    w = np.exp(logs, out=logs)
+    return (w @ exps) / w.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("weighted", [True, False])
+@pytest.mark.parametrize("block", [2, 7, 4999, 1 << 14])
+def test_blocked_moment_map_matches_the_whole(p3_paper, monkeypatch, weighted, block):
+    xi = np.random.default_rng(3).normal(size=(5000, 2)) * 40.0
+    expected = whole_moment_from_logs(p3_paper, xi, weighted)
+    monkeypatch.setattr(moment, "MOMENT_BLOCK_ROWS", block)
+    assert np.array_equal(_moment_from_logs(p3_paper, xi, weighted), expected)
+
+
+def test_moment_map_of_a_cloud_holds_no_whole_cloud_weight_matrix(p3_paper):
+    import tracemalloc
+
+    xi = np.random.default_rng(4).normal(size=(200_000, 2))
+    terms = len(p3_paper.terms)
+    tracemalloc.start()
+    try:
+        out = _moment_from_logs(p3_paper, xi, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (200_000, 2)
+    # the output plus one block's temporaries, well below one (samples, terms) array
+    assert peak < 200_000 * terms * 8 / 2
 
 
 # -- WCA clouds -----------------------------------------------------------

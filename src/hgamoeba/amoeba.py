@@ -229,9 +229,12 @@ def _fiber_rows(exps: np.ndarray, log_c: np.ndarray, j: int, log_x: np.ndarray) 
     log_w = log_x[:, others] @ exps[:, others].T + log_c  # (rows, terms)
     weights = np.exp(log_w - log_w.real.max(axis=1, keepdims=True))
     sj = exps[:, j].astype(int)
-    slots = np.zeros((len(log_c), sj.max() + 1))  # term -> coefficient slot
-    slots[np.arange(len(log_c)), sj] = 1.0
-    return weights @ slots
+    rows = np.zeros((len(log_x), sj.max() + 1), dtype=complex)
+    # each term into its slot, in term order; no BLAS, whose threads cost
+    # more than the few additions of a slot at this size
+    for t, k in enumerate(sj.tolist()):
+        rows[:, k] += weights[:, t]
+    return rows
 
 
 def complement_components(r: AmoebaRaster) -> list[ComplementComponent]:

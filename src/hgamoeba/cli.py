@@ -150,9 +150,9 @@ def cmd_hadamard(args) -> int:
     p = io.polynomial_from_json(_read(args.polynomial))
     rs = [float(v) for v in args.r.split(",")]
     w = _parse_window(args, p)
-    clouds = moment.skeleton_approximation(p, rs, w)
+    clouds = moment.hadamard_clouds(p, rs, w)  # checks p and rs before any file is touched
     io.atomic_write_text(args.output, io.cloud_to_csv(clouds))
-    print(f"{len(clouds)} Hadamard-power clouds")
+    print(f"{len(rs)} Hadamard-power clouds")
     return EXIT_OK
 
 

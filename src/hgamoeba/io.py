@@ -1,11 +1,16 @@
 """File formats: polynomial / polytope / Ore-Sato JSON, Horn serialization,
 CSV scatters and PPM rasters.  Writers go through a temp file and an atomic
-rename so that failed runs leave no partial output."""
+rename so that failed runs leave no partial output.
+
+Cloud CSVs are large (one row per fiber-sweep sample), so they are
+formatted in C by orjson, a slice of rows at a time, and come out byte for
+byte as Python's ``repr`` would write them: shortest round-trip decimals."""
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -182,16 +187,56 @@ def aster_to_csv(rows) -> str:
 
 CSV_SLICE_ROWS = 1 << 16  # rows of cloud CSV text formatted at a time
 
+# orjson and repr write the same shortest round-trip digits and differ only
+# in notation: orjson writes exponents without repr's sign and two digits
+# (1.5e-7 for 1.5e-07, 1e16 for 1e+16), and the band [1e-5, 1e-4) without an
+# exponent (0.00001 for 1e-05).  Both patterns open with a literal, which
+# the regex engine finds fast.
+_EXPONENT = re.compile(rb"e(-?)([0-9]+)")
+_BAND = re.compile(rb"0\.0000[0-9]+")
+
+
+def _repr_exponent(match: re.Match) -> bytes:
+    return b"e" + (match[1] or b"+") + match[2].rjust(2, b"0")
+
+
+def _repr_band(match: re.Match) -> bytes:
+    start = match.start()
+    if start and match.string[start - 1] in b"0123456789.":
+        return match[0]  # the tail of a number like 10.00001
+    return repr(float(match[0])).encode()
+
 
 def cloud_to_csv(clouds) -> Iterator[str]:
     """The clouds as CSV text (r, u, v per point), yielded in slices of at
-    most ``CSV_SLICE_ROWS`` rows so that the whole text is never held."""
+    most ``CSV_SLICE_ROWS`` rows so that the whole text is never held.
+
+    Numbers are the shortest decimals that read back to the same float64,
+    byte for byte as ``repr`` writes them.  A non-finite point raises
+    ValueError.
+    """
     yield "r,u,v\n"
     for cloud in clouds:
-        r = float(cloud.hadamard_order)
+        row_start = f"\n{float(cloud.hadamard_order)!r},".encode()
         for k in range(0, len(cloud.points), CSV_SLICE_ROWS):
-            u, v = cloud.points[k : k + CSV_SLICE_ROWS].T.tolist()
-            yield "".join([f"{r!r},{a!r},{b!r}\n" for a, b in zip(u, v)])
+            # orjson takes only C-contiguous arrays, and writes float32 digits for float32
+            block = np.ascontiguousarray(cloud.points[k : k + CSV_SLICE_ROWS], dtype=np.float64)
+            if not np.isfinite(block).all():
+                raise ValueError("a cloud point is not finite")
+            yield _csv_rows(block, row_start)
+
+
+def _csv_rows(block: np.ndarray, row_start: bytes) -> str:
+    """The rows of a finite (m, 2) float64 block, each opened by
+    ``row_start[1:]``.  Each step rebinds ``text``, so at most two copies of
+    the slice's text are held at a time."""
+    import orjson  # here, not at module level: the import costs every command ~10 ms
+
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)  # [[u,v],[u,v],...]
+    text = _BAND.sub(_repr_band, _EXPONENT.sub(_repr_exponent, text))
+    text = text.replace(b"],[", row_start)
+    text = b"".join((row_start[1:], memoryview(text)[2:-2], b"\n"))
+    return text.decode()
 
 
 # -- PPM rasters ---------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -87,17 +87,26 @@ def skeleton_approximation(
     p: LaurentPolynomial, r_list: Sequence[float], w: Optional[LogWindow] = None
 ) -> list[MomentImagePointCloud]:
     """WCA clouds of increasing Hadamard powers, approximating the limit complex."""
+    return list(hadamard_clouds(p, r_list, w))
+
+
+def hadamard_clouds(
+    p: LaurentPolynomial, r_list: Sequence[float], w: Optional[LogWindow] = None
+) -> Iterator[MomentImagePointCloud]:
+    """The clouds of ``skeleton_approximation``, each made only when the
+    iterator reaches it, so that one cloud is held at a time.  The arguments
+    are checked here, before the first cloud."""
     if any(c <= 0 for c in p.terms.values()):
         raise DomainError("Hadamard-power skeleton needs positive coefficients")
     if not r_list:
         raise ValueError("r_list must be nonempty")
-    clouds = []
-    for r in r_list:
-        q = p.hadamard_power(r)
-        cloud = rasterize_wca(q, w, weighted=True)
-        cloud.hadamard_order = float(r)
-        clouds.append(cloud)
-    return clouds
+    return (_hadamard_cloud(p, r, w) for r in r_list)
+
+
+def _hadamard_cloud(p: LaurentPolynomial, r: float, w: Optional[LogWindow]) -> MomentImagePointCloud:
+    cloud = rasterize_wca(p.hadamard_power(r), w, weighted=True)
+    cloud.hadamard_order = float(r)
+    return cloud
 
 
 def wca_occupancy(

@@ -4,12 +4,14 @@ import json
 import os
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hgamoeba import (
     GammaFactor,
     LaurentPolynomial,
     LinearForm,
+    MomentImagePointCloud,
     OreSatoCoefficient,
     ParseError,
     facet_description,
@@ -145,6 +147,56 @@ def test_cloud_csv_comes_in_bounded_slices(p3_paper, monkeypatch):
     rows = "".join(chunks[1:]).splitlines()
     want = [f"1.0,{u!r},{v!r}" for u, v in cloud.points.tolist()]
     assert rows == want + want
+
+
+def _adversarial_points(seed: int) -> np.ndarray:
+    """Seeded float64 (u, v) pairs: random bit patterns, subnormals, the band
+    [1e-5, 1e-4), values >= 1e16 and named cases, with random signs.  These
+    are the numbers whose notation orjson and repr write differently."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, 20_000, dtype=np.uint64).view(np.float64)
+    parts = [
+        bits[np.isfinite(bits)],
+        rng.integers(1, 2**52, 2_000, dtype=np.uint64).view(np.float64),  # subnormal
+        rng.uniform(1e-5, 1e-4, 2_000),
+        10.0 ** rng.uniform(16, 308, 2_000),
+        rng.uniform(-5.0, 5.0, 2_000),
+        [0.0, 1e-5, 1e-4, np.nextafter(1e-4, 0.0), np.nextafter(1e-5, 0.0), 1e16,
+         np.nextafter(1e16, 0.0), 5e-324, 1.7976931348623157e308],
+    ]
+    vals = np.concatenate(parts) * rng.choice([-1.0, 1.0], sum(len(p) for p in parts))
+    named = [-0.0, 10.00001, -20.00003, 100.00002, 0.00001, -0.00001]
+    vals = np.concatenate([vals, named, named[:-1]])  # an even count
+    return rng.permutation(vals).reshape(-1, 2)
+
+
+def _repr_rows(r: float, points) -> str:
+    return "r,u,v\n" + "".join(f"{r!r},{u!r},{v!r}\n" for u, v in points.tolist())
+
+
+@pytest.mark.parametrize("r", [1.0, 6.0, 2.5e-7, 1e16])
+def test_cloud_csv_numbers_are_written_as_repr_writes_them(r):
+    points = _adversarial_points(5)
+    text = "".join(io.cloud_to_csv([MomentImagePointCloud(points, hadamard_order=r)]))
+    assert text == _repr_rows(r, points)
+
+
+def test_cloud_csv_of_a_strided_or_float32_array():
+    points = _adversarial_points(6)
+    strided = np.repeat(points, 2, axis=1)[:, ::2]
+    assert not strided.flags.c_contiguous
+    text = "".join(io.cloud_to_csv([MomentImagePointCloud(strided)]))
+    assert text == _repr_rows(1.0, points)
+    small = np.random.default_rng(6).uniform(-3.0, 3.0, (5_000, 2)).astype(np.float32)
+    text = "".join(io.cloud_to_csv([MomentImagePointCloud(small)]))
+    assert text == _repr_rows(1.0, small)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_cloud_csv_rejects_a_non_finite_point(bad):
+    points = np.array([[0.5, 1.5], [2.0, bad]])
+    with pytest.raises(ValueError):
+        "".join(io.cloud_to_csv([MomentImagePointCloud(points)]))
 
 
 def test_atomic_write_of_text_chunks(tmp_path):
@@ -369,6 +421,20 @@ def test_cli_hadamard_csv_has_the_mode_of_a_plain_write(tmp_path, p3_file):
     argv = ["hadamard", p3_file, "--r", "1", "-o", str(out), "--res", "24", "--angles", "64"]
     assert main(argv) == 0
     assert os.stat(out).st_mode == os.stat(plain).st_mode
+
+
+def test_cli_hadamard_rejects_bad_input_before_touching_the_output(tmp_path, p3_file):
+    """A signed coefficient (exit 2) or an empty --r (exit 3) is rejected
+    before the clouds are made: the old output stays, and no temp file."""
+    signed = tmp_path / "signed.json"
+    signed.write_text(io.polynomial_to_json(LP(2, {(0, 0): 1, (1, 0): -1, (0, 1): 1})))
+    out = tmp_path / "h.csv"
+    out.write_text("old\n")
+    for poly, r, code in ((str(signed), "1,2", 2), (p3_file, "", 3)):
+        argv = ["hadamard", poly, "--r", r, "-o", str(out), "--res", "24", "--angles", "64"]
+        assert main(argv) == code
+        assert out.read_text() == "old\n"
+    assert sorted(os.listdir(tmp_path)) == ["h.csv", "p3.json", "signed.json"]
 
 
 def test_cli_csv_fields_are_numbers(tmp_path, p3_file):

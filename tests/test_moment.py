@@ -24,7 +24,7 @@ from hgamoeba import (
     wca_occupancy,
 )
 from hgamoeba import moment
-from hgamoeba.moment import _moment_from_logs, _zero_locus_log_points
+from hgamoeba.moment import _moment_from_logs, _zero_locus_log_points, hadamard_clouds
 
 LP = LaurentPolynomial
 
@@ -168,6 +168,24 @@ def test_skeleton_orders_recorded(p3_paper):
     assert [c.hadamard_order for c in clouds] == [1.0, 4.0]
     for c in clouds:
         assert containment_violation(c, p3_paper) <= 1e-9
+
+
+def test_hadamard_clouds_are_made_one_at_a_time(p3_paper):
+    w = small_window(res=40, angles=64)
+    clouds = hadamard_clouds(p3_paper, [1, 4], w)
+    first = next(clouds)
+    assert first.hadamard_order == 1.0
+    rest = list(clouds)
+    want = skeleton_approximation(p3_paper, [1, 4], w)
+    assert [c.hadamard_order for c in [first, *rest]] == [1.0, 4.0]
+    assert all(np.array_equal(a.points, b.points) for a, b in zip([first, *rest], want))
+
+
+def test_hadamard_clouds_check_their_arguments_at_the_call(p3_paper):
+    with pytest.raises(DomainError):
+        hadamard_clouds(LP(2, {(0, 0): 1, (1, 0): -1, (0, 1): 1}), [2])
+    with pytest.raises(ValueError):
+        hadamard_clouds(p3_paper, [])
 
 
 def test_skeleton_rejects_signed_coefficients():

@@ -153,3 +153,29 @@ def test_wca_cloud_equals_the_full_sweep(power, p3_paper):
     for a, b in ((got, want), (want, got)):
         dist, _ = cKDTree(b).query(a)
         assert dist.max() <= 1e-12
+
+
+def slot_product_rows(exps, log_c, j, log_x):
+    """``_fiber_rows`` as a matrix product of the weights with a 0/1
+    term-to-slot matrix: the reference for the per-slot sums."""
+    others = np.arange(exps.shape[1]) != j
+    log_w = log_x[:, others] @ exps[:, others].T + log_c
+    weights = np.exp(log_w - log_w.real.max(axis=1, keepdims=True))
+    sj = exps[:, j].astype(int)
+    slots = np.zeros((len(log_c), sj.max() + 1))
+    slots[np.arange(len(log_c)), sj] = 1.0
+    return weights @ slots
+
+
+@pytest.mark.parametrize("name", ["p1_paper", "p0_paper", "p3_paper", "appell_5443"])
+def test_fiber_rows_equal_the_slot_matrix_product(name, request):
+    """Bitwise, for both fiber coordinates, on a block of 2048 seeded rows."""
+    p = request.getfixturevalue(name)
+    exps, coeffs = amoeba._term_arrays(p)
+    exps -= np.minimum(exps.min(axis=0), 0)
+    log_c = np.log(np.abs(coeffs)) + 1j * np.angle(coeffs)
+    rng = np.random.default_rng(14)
+    for j in range(p.n):
+        log_x = rng.uniform(-8, 8, (2048, p.n)) + 1j * rng.uniform(0, 2 * np.pi, (2048, p.n))
+        got = amoeba._fiber_rows(exps, log_c, j, log_x)
+        assert got.tobytes() == slot_product_rows(exps, log_c, j, log_x).tobytes()

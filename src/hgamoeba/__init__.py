@@ -11,6 +11,7 @@ from .amoeba import (
     component_order,
     cross_polytope_optimal,
     lopsided_at,
+    lopsided_certificates,
     optimality_report,
     rasterize_amoeba,
     resolved_components,

@@ -33,9 +33,11 @@ from .polytope import lattice_points, newton_polytope
 from .roots import aberth_roots_batch
 
 ORDER_ANGLES = 64  # ring of fiber angles on which component_order counts roots
+CERT_MAX_K = 8  # largest k of the cyclic resultants R_k p tried per lattice point
 FIBER_BLOCK_ROWS = 2048  # fiber rows the sweep solves at once, in whole columns
 DILATION_PIXELS = 1  # sampling-gap closing of the amoeba and WCA rasters
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
+UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 @dataclass(frozen=True)
@@ -98,21 +100,21 @@ def adaptive_window(
 
     Collects the tie points of triples of weighted monomials (the tropical
     vertices), pads the bounding box and enforces a minimum half-width so
-    that small examples keep their familiar frames.
+    that small examples keep their familiar frames.  All triples are solved
+    in one stacked determinant and one stacked solve.
     """
-    pts = [(np.array(e, dtype=float), math.log(abs(complex(c)))) for e, c in p.sorted_terms()]
-    xs, ys = [0.0], [0.0]
-    for (e1, l1), (e2, l2), (e3, l3) in itertools.combinations(pts, 3):
-        mat = np.array([e2 - e1, e3 - e1])
-        rhs = np.array([l1 - l2, l1 - l3])
-        det = np.linalg.det(mat)
-        if abs(det) < 1e-12:
-            continue
-        sol = np.linalg.solve(mat, rhs)
-        xs.append(sol[0])
-        ys.append(sol[1])
-    x_lo, x_hi = min(xs) - pad, max(xs) + pad
-    y_lo, y_hi = min(ys) - pad, max(ys) + pad
+    exps = _term_arrays(p)[0]
+    logs = np.array([math.log(abs(complex(c))) for _, c in p.sorted_terms()])
+    triples = np.array(list(itertools.combinations(range(len(logs)), 3)), dtype=int)
+    i, j, k = triples.reshape(-1, 3).T
+    mats = np.stack([exps[j] - exps[i], exps[k] - exps[i]], axis=1)  # (triples, 2, 2)
+    rhs = np.stack([logs[i] - logs[j], logs[i] - logs[k]], axis=1)
+    solvable = np.abs(np.linalg.det(mats)) >= 1e-12
+    ties = np.linalg.solve(mats[solvable], rhs[solvable, :, None])[:, :, 0]
+    xs = np.append(ties[:, 0], 0.0)
+    ys = np.append(ties[:, 1], 0.0)
+    x_lo, x_hi = xs.min() - pad, xs.max() + pad
+    y_lo, y_hi = ys.min() - pad, ys.max() + pad
     half = max(5.0, x_hi, -x_lo, y_hi, -y_lo)
     return LogWindow(-half, half, -half, half, resolution, angular_samples)
 
@@ -136,16 +138,21 @@ def _fiber_roots(coeff_rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_support(p) -> None:
+    """DomainError unless the support of p spans the plane (the amoeba has
+    complement components of more than one order)."""
+    exps = _term_arrays(p)[0]
+    if len(exps) < 2:
+        raise DomainError("amoeba of a monomial is empty")
+    if np.linalg.matrix_rank(exps - exps[0]) < 2:
+        raise DomainError("degenerate support: the Newton polygon is not two-dimensional")
+
+
 def rasterize_amoeba(p, w: LogWindow) -> AmoebaRaster:
     """Sampled amoeba of a bivariate (Laurent) polynomial."""
     if p.n != 2:
         raise DomainError("rasterization is implemented for two variables")
-    if len(p.terms) < 2:
-        raise DomainError("amoeba of a monomial is empty")
-    try:
-        newton_polytope(p)
-    except Exception as exc:
-        raise DomainError(f"degenerate support: {exc}") from exc
+    _check_support(p)
 
     res = w.resolution
     grid = np.zeros((res, res), dtype=bool)
@@ -316,44 +323,185 @@ def lopsided_at(p, xi: Sequence[float]) -> Optional[tuple[int, ...]]:
     return None
 
 
-def _dominance_point(p, alpha, bound: float):
+def _dominance_point(exps, logs, alpha, box):
     """Log-point maximizing the margin of the weighted monomial alpha.
 
     Solves the linear program max t subject to the monomial alpha
-    outweighing every other term by at least t in log scale, within a
-    box of the given half-width.  Returns xi, or None unless the margin is
-    positive (alpha carrying no monomial has none).
+    outweighing every other term by at least t in log scale, within the
+    box of (low, high) bounds per coordinate.  Returns xi, or None unless
+    the margin is positive (alpha carrying no monomial has none).
     """
     from scipy.optimize import linprog
 
-    exps, coeffs = _term_arrays(p)
-    logs = np.array([math.log(abs(c)) for c in coeffs])
     at = (exps == np.asarray(alpha, dtype=float)).all(axis=1)
     if not at.any():
         return None
-    A = np.column_stack([exps[~at] - exps[at], np.ones(len(coeffs) - 1)])
+    A = np.column_stack([exps[~at] - exps[at], np.ones(len(logs) - 1)])
     b = logs[at] - logs[~at]
     res = linprog(
-        [0.0] * p.n + [-1.0], A_ub=A, b_ub=b,
-        bounds=[(-bound, bound)] * p.n + [(None, None)], method="highs",
+        [0.0] * len(box) + [-1.0], A_ub=A, b_ub=b,
+        bounds=list(box) + [(None, None)], method="highs",
     )
     if res.status != 0 or -res.fun <= 0.0:
         return None
-    return tuple(float(v) for v in res.x[: p.n])
+    return tuple(float(v) for v in res.x[: len(box)])
 
 
-def resolved_components(p, raster: AmoebaRaster) -> tuple[list[ComplementComponent], list[str]]:
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = n u / (1 - n u), u the unit roundoff."""
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
+
+
+def _scaled_coefficients(exps, coeffs, xi) -> tuple[np.ndarray, float]:
+    """p's coefficients scaled at xi, c_e e^{<e, xi>}, largest modulus 1.
+
+    Returns them with rho, a bound on their relative error: each is the
+    exponential of a log summed from log|c_e| and <e, xi>, so its error is
+    about the unit roundoff times the magnitudes of those logs.
+    """
+    log_c = np.log(np.abs(coeffs))
+    logs = log_c + exps @ xi
+    top = logs.max()
+    w = np.exp(logs - top) * (coeffs / np.abs(coeffs))
+    size = np.abs(log_c) + np.abs(exps) @ np.abs(xi)
+    rho = _gamma(4) * float(np.max(1.0 + 2.0 * size + (top - logs)))
+    return w, rho
+
+
+def _cyclic_resultant(exps, w, rho: float, k: int):
+    """Coefficients of Q, where R_k p(x) = prod_j p(zeta^j x) = Q(x^k).
+
+    j runs over (Z/k)^2 and zeta = e^{2 pi i / k}.  p has the nonnegative
+    integer exponents ``exps`` (terms, 2) and the coefficients ``w``, of
+    largest modulus 1 and each within relative error ``rho``.  Q has degree
+    k D_i in X_i, D_i the degree of p in x_i, so its coefficients are the
+    discrete Fourier transform of its values on the g_0 x g_1 grid of roots
+    of unity, g = k D + 1.  Those values are products of the values of p on
+    the k^2 sub-grids {m + j g : m < g} of the (k g)-point torus grid, and
+    each sub-grid is evaluated by two small matrix products.  The product
+    is rescaled by powers of two as it grows.
+
+    Returns (q, scale, err): q[beta] approximates 2^-scale Q_beta, and the
+    sum over beta of |q[beta] - 2^-scale Q_beta| is at most err.  The bound
+    follows the computation:
+    - each value of p on the grid is within delta of exact, delta a gamma
+      factor times sum |w| (two roots of unity within gamma_24 each, two
+      complex inner products within gamma_{2 D_i + 6}, and rho);
+    - so each value of the product V is within |V| (expm1(sum_j delta /
+      (|P_j| - delta)) + gamma_{8 k^2}) of exact, the gamma term for the
+      k^2 complex products;
+    - the transform of that error has, by Parseval, an l1 norm over n =
+      g_0 g_1 coefficients of at most its l2 norm, and the FFT adds at most
+      log2(n) eta / (1 - log2(n) eta) ||V||_2 (Higham, Accuracy and
+      Stability of Numerical Algorithms, 2nd ed., Thm 24.2), with
+      eta = u + gamma_4 (sqrt 2 + u).
+    Returns None when some value of p on the grid is within 2 delta of 0.
+    """
+    e = exps.astype(int)
+    deg = e.max(axis=0)
+    g = k * deg + 1
+    coeff = np.zeros(tuple(deg + 1), dtype=complex)
+    coeff[e[:, 0], e[:, 1]] = w
+    # x^a at the grid points x = exp(2 pi i (j g + m) / (k g)), as (k, g, D + 1)
+    powers = [
+        np.exp(2j * np.pi * (np.outer(np.arange(k * gi), np.arange(di + 1)) % (k * gi)) / (k * gi))
+        .reshape(k, gi, di + 1)
+        for gi, di in zip(g.tolist(), deg.tolist())
+    ]
+    values = (powers[0] @ coeff)[:, None] @ powers[1].transpose(0, 2, 1)[None]  # (k, k, g0, g1)
+    values = values.reshape(k * k, *g)
+    delta = (3.0 * rho + _gamma(2 * int(deg.sum()) + 60 + len(w))) * float(np.abs(w).sum())
+    size = np.abs(values)
+    if size.min() <= 2.0 * delta:
+        return None
+    v = np.ones(tuple(g), dtype=complex)
+    scale = 0
+    for vals in values:
+        v *= vals
+        shift = math.frexp(float(np.abs(v).max()))[1]
+        v *= 2.0 ** -shift  # exact
+        scale += shift
+    eta_v = np.expm1((delta / (size - delta)).sum(axis=0)) + _gamma(8 * k * k)
+    levels = math.log2(v.size)
+    eta_fft = UNIT_ROUNDOFF + _gamma(4) * (math.sqrt(2.0) + UNIT_ROUNDOFF)
+    err = float(np.linalg.norm(np.abs(v) * eta_v)) + (
+        levels * eta_fft / (1.0 - levels * eta_fft) * float(np.linalg.norm(v))
+    )
+    return np.fft.fft2(v) / v.size, scale, err
+
+
+def lopsided_certificates(p, points, box) -> dict[tuple[int, ...], tuple[tuple[float, ...], int]]:
+    """Certified representatives of complement components, by lattice point.
+
+    For each lattice point alpha in ``points`` that carries a monomial, the
+    dominance LP (``_dominance_point``) in ``box`` gives a log-point xi,
+    rounded to 6 decimals.  Then k = 1 .. ``CERT_MAX_K`` are tried: if the
+    cyclic resultant R_k p is lopsided at xi with dominant exponent k alpha
+    in X = x^k, and its margin exceeds the rounding bound of
+    ``_cyclic_resultant``, then xi lies outside the amoeba, in the
+    complement component of order alpha (Purbhoo, Duke Math. J. 141, 2008).
+    k = 1 is plain lopsidedness of p.  Returns {alpha: (xi, k)} for the
+    certified points.
+    """
+    exps, coeffs = _term_arrays(p)
+    logs = np.array([math.log(abs(c)) for c in coeffs])
+    shift = exps.min(axis=0)
+    lifted = exps - shift  # nonnegative: a monomial factor moves no certificate
+    certs = {}
+    for alpha in sorted(points):
+        xi = _dominance_point(exps, logs, alpha, box)
+        if xi is None:
+            continue
+        xi = tuple(round(v, 6) for v in xi)
+        w, rho = _scaled_coefficients(lifted, coeffs, np.array(xi))
+        top = tuple(int(a) for a in np.asarray(alpha) - shift)
+        for k in range(1, CERT_MAX_K + 1):
+            resultant = _cyclic_resultant(lifted, w, rho, k)
+            if resultant is None:
+                continue
+            q, _, err = resultant
+            size = np.abs(q)
+            dom = size[tuple(k * a for a in top)]
+            rest = size.sum() - dom
+            # dom > rest makes k alpha the dominant exponent; the gamma term
+            # covers the moduli and their sum
+            if dom - rest > err + _gamma(size.size + 4) * (dom + rest):
+                certs[alpha] = (xi, k)
+                break
+    return certs
+
+
+def _report_box(w: LogWindow) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The report window shrunk by half about its centre: the LP box.
+
+    Far out in a large window the fiber roots span so many orders of
+    magnitude that root counts lose their footing; representatives stay in
+    the middle half.
+    """
+    cx, cy = (w.x_min + w.x_max) / 2, (w.y_min + w.y_max) / 2
+    hx, hy = (w.x_max - w.x_min) / 4, (w.y_max - w.y_min) / 4
+    return (cx - hx, cx + hx), (cy - hy, cy + hy)
+
+
+def _interior(N, alpha) -> bool:
+    """alpha lies in the interior of the polygon N: its component is bounded."""
+    return all(f.value(alpha) < 0 for f in N.facets)
+
+
+def resolved_components(
+    p, raster: AmoebaRaster, N=None, certificates=None
+) -> tuple[list[ComplementComponent], list[str]]:
     """Complement components after exact-invariant post-processing.
 
     Raster components are first assigned winding orders.  Fragments sharing
     an order are merged: the order map of a genuine amoeba complement is
     injective, so equal orders certify fragments of one true component that
-    a sampling artifact carved up.  Then each lattice point alpha of the
-    Newton polytope that carries a monomial is tested for lopsidedness once,
-    at its maximal tropical dominance point.  A certificate for an absent
-    order proves a component the raster failed to separate, which is
-    restored; a present order without one is noted.  Notes record every
-    correction.
+    a sampling artifact carved up.  Then the lopsidedness certificates of
+    the lattice points of the Newton polytope N (``lopsided_certificates``,
+    made here in the raster window's box unless given) are read: a
+    certificate for an absent order proves a component the raster failed to
+    separate, which is restored; a present order without one is noted.
+    Notes record every correction.
     """
     raw = complement_components(raster)
     notes: list[str] = []
@@ -388,23 +536,18 @@ def resolved_components(p, raster: AmoebaRaster) -> tuple[list[ComplementCompone
         else:
             merged[comp.order] = comp
 
-    w = raster.window
-    bound = 4.0 * max(abs(w.x_min), abs(w.x_max), abs(w.y_min), abs(w.y_max)) + 10.0
-    N = newton_polytope(p)
-    vertex_set = set(N.vertices)
-    for alpha in sorted(lattice_points(N).points):
-        xi = _dominance_point(p, alpha, bound)
-        if xi is None:
-            if alpha in merged:
-                notes.append(f"no lopsided certificate found for order {alpha}")
-        elif lopsided_at(p, xi) != alpha:
-            if alpha in merged:
-                notes.append(
-                    f"lopsidedness at the dominance point of order {alpha} is not strict"
-                )
-        elif alpha not in merged:
+    if N is None:
+        N = newton_polytope(p)
+    if certificates is None:
+        certificates = lopsided_certificates(
+            p, lattice_points(N).points, _report_box(raster.window)
+        )
+    for alpha in sorted(set(merged) - set(certificates)):
+        notes.append(f"no lopsided certificate found for order {alpha}")
+    for alpha, (xi, _) in sorted(certificates.items()):
+        if alpha not in merged:
             merged[alpha] = ComplementComponent(
-                pixel_count=0, representative=xi, bounded=alpha not in vertex_set,
+                pixel_count=0, representative=xi, bounded=_interior(N, alpha),
                 order=alpha, label=0,
             )
             notes.append(
@@ -450,23 +593,49 @@ def optimality_report(
     """Full amoeba-topology report: components, orders, optimality verdict.
 
     Optimal means one component per lattice point of the Newton polytope
-    (the Forsberg-Passare-Tsikh bound); resolved orders are distinct.
+    (the Forsberg-Passare-Tsikh bound); resolved orders are distinct.  Each
+    lattice point is first tried for a lopsidedness certificate
+    (``lopsided_certificates``) in the middle half of the report window
+    (``w``, the raster's window, or ``adaptive_window``).  When no raster is
+    given and every lattice point is certified, the certificates prove the
+    verdict: one component per lattice point, bounded iff its order is
+    interior, and no raster is made.  Otherwise the amoeba is rasterized and
+    its components resolved, with the certificates restoring what the
+    raster lacks.
     """
     if p.n != 2:
         raise DomainError("optimality analysis is implemented for two variables")
-    if raster is None:
-        raster = rasterize_amoeba(p, adaptive_window(p) if w is None else w)
-    comps, notes = resolved_components(p, raster)
-
+    _check_support(p)
     N = newton_polytope(p)
-    npts = len(lattice_points(N).points)
+    if raster is not None:
+        w = raster.window
+    elif w is None:
+        w = adaptive_window(p)
+    points = lattice_points(N).points
+    certs = lopsided_certificates(p, points, _report_box(w))
+    certified = (
+        f"{len(certs)} of {len(points)} lattice points certified by lopsided cyclic "
+        f"resultants (largest k = {max((k for _, k in certs.values()), default=0)})"
+    )
+    if raster is None and len(certs) == len(points):
+        comps = [
+            ComplementComponent(
+                pixel_count=0, representative=xi, bounded=_interior(N, alpha), order=alpha,
+            )
+            for alpha, (xi, _) in sorted(certs.items())
+        ]
+        return OptimalityReport(len(points), comps, True, True, [certified, "no raster needed"])
+
+    if raster is None:
+        raster = rasterize_amoeba(p, w)
+    comps, notes = resolved_components(p, raster, N, certs)
     missing = set(N.vertices) - {c.order for c in comps}
     if missing:
         notes.append(f"window misses vertex components of orders {sorted(missing)}")
     inconclusive = missing or any(c.order is None for c in comps)
-    verdict = None if inconclusive else len(comps) == npts
-    notes.append("boundedness is relative to the chosen window")
-    return OptimalityReport(npts, comps, not missing, verdict, notes)
+    verdict = None if inconclusive else len(comps) == len(points)
+    notes += [certified, "boundedness is relative to the chosen window"]
+    return OptimalityReport(len(points), comps, not missing, verdict, notes)
 
 
 def cross_polytope_optimal(a: Sequence[float], b: Sequence[float], c: float) -> bool:

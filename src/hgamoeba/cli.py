@@ -258,10 +258,15 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="hgamoeba")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_window_flags(sp):
+    def add_window_flags(sp, raster_use=None):
         sp.add_argument("--window", default=None, help="xmin,xmax,ymin,ymax in log space")
-        sp.add_argument("--res", type=int, default=400)
-        sp.add_argument("--angles", type=int, default=512)
+        sp.add_argument("--res", type=int, default=400,
+                        help=raster_use and "raster pixels per axis" + raster_use)
+        sp.add_argument("--angles", type=int, default=512,
+                        help=raster_use and "fiber angles per raster column" + raster_use)
+
+    # optimal and orders prove their answers by lopsidedness certificates first
+    uncertified = "; the raster is made only if a lattice point stays uncertified"
 
     sp = sub.add_parser("construct", help="hypergeometric polynomial of a polytope")
     sp.add_argument("polytope")
@@ -287,13 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("orders", help="orders of the complement components")
     sp.add_argument("polynomial")
-    add_window_flags(sp)
+    add_window_flags(sp, uncertified)
     sp.set_defaults(func=cmd_orders)
 
     sp = sub.add_parser("optimal", help="optimality verdict")
     sp.add_argument("polynomial")
     sp.add_argument("--report", required=True)
-    add_window_flags(sp)
+    add_window_flags(sp, uncertified)
     sp.set_defaults(func=cmd_optimal)
 
     sp = sub.add_parser("wca", help="(weighted) compactified amoeba")

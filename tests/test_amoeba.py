@@ -1,6 +1,8 @@
 """Amoeba rasters, complement components, orders, lopsidedness, optimality."""
 
+import itertools
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -19,7 +21,9 @@ from hgamoeba import (
     complement_components,
     component_order,
     cross_polytope_optimal,
+    lattice_points,
     lopsided_at,
+    newton_polytope,
     optimality_report,
     rasterize_amoeba,
     resolved_components,
@@ -50,6 +54,31 @@ def test_adaptive_window_tracks_large_coefficients():
     p = LP(2, {(0, 0): 1, (1, 0): 10 ** 10, (0, 1): 1})
     w = adaptive_window(p)
     assert w.x_max >= math.log(1e10) - 1.0
+
+
+def loop_adaptive_window(p, resolution=400, angular_samples=512, pad=4.0):
+    """Reference window: the tie point of each triple of weighted monomials
+    solved one at a time."""
+    pts = [(np.array(e, dtype=float), math.log(abs(complex(c)))) for e, c in p.sorted_terms()]
+    xs, ys = [0.0], [0.0]
+    for (e1, l1), (e2, l2), (e3, l3) in itertools.combinations(pts, 3):
+        mat = np.array([e2 - e1, e3 - e1])
+        rhs = np.array([l1 - l2, l1 - l3])
+        if abs(np.linalg.det(mat)) < 1e-12:
+            continue
+        sol = np.linalg.solve(mat, rhs)
+        xs.append(sol[0])
+        ys.append(sol[1])
+    half = max(5.0, max(xs) + pad, pad - min(xs), max(ys) + pad, pad - min(ys))
+    return LogWindow(-half, half, -half, half, resolution, angular_samples)
+
+
+@pytest.mark.parametrize(
+    "name", ["p0_paper", "p1_paper", "p3_paper", "appell_5443", "cross_poly", "hirzebruch_poly"]
+)
+def test_adaptive_window_equals_the_triple_loop(name, request):
+    p = request.getfixturevalue(name)
+    assert adaptive_window(p, 200, 256) == loop_adaptive_window(p, 200, 256)
 
 
 def test_window_validation():
@@ -412,6 +441,120 @@ def test_lopsided_implies_nonvanishing(p3_paper):
         for t2 in np.linspace(0, 2 * np.pi, 7):
             x = (math.exp(xi[0]) * np.exp(1j * t1), math.exp(xi[1]) * np.exp(1j * t2))
             assert abs(p3_paper.evaluate(x)) > 0
+
+
+# -- lopsidedness certificates of cyclic resultants ------------------------
+
+
+def test_cross_polytope_centre_is_certified_iff_optimal():
+    """c + a1 x + b1/x + a2 y + b2/y: plain lopsidedness at the LP point is
+    sharp, so the centre is certified exactly when the closed form says
+    optimal.  Instances lie at least 5 % away from sum sqrt(a_j b_j) = c/2."""
+    rng = random.Random(20081)
+    seen = set()
+    for _ in range(30):
+        a = [rng.uniform(0.2, 5.0) for _ in range(2)]
+        b = [rng.uniform(0.2, 5.0) for _ in range(2)]
+        s = sum(math.sqrt(x * y) for x, y in zip(a, b))
+        c = 2.0 * s * rng.choice([rng.uniform(0.5, 0.95), rng.uniform(1.05, 2.0)])
+        p = LP(2, {(0, 0): c, (1, 0): a[0], (-1, 0): b[0], (0, 1): a[1], (0, -1): b[1]})
+        points = lattice_points(newton_polytope(p)).points
+        certs = amoeba.lopsided_certificates(p, points, amoeba._report_box(adaptive_window(p)))
+        optimal = cross_polytope_optimal(a, b, c)
+        assert ((0, 0) in certs) is optimal
+        seen.add(optimal)
+    assert seen == {True, False}
+
+
+def _interior(N, alpha):
+    return all(f.value(alpha) < 0 for f in N.facets)
+
+
+@pytest.mark.parametrize("name", ["p0_paper", "p1_paper", "p3_paper"])
+def test_certificates_prove_optimal_without_a_raster(name, request, monkeypatch):
+    p = request.getfixturevalue(name)
+
+    def no_raster(*args, **kwargs):
+        raise AssertionError("rasterize_amoeba called")
+
+    monkeypatch.setattr(amoeba, "rasterize_amoeba", no_raster)
+    rep = optimality_report(p)
+    N = newton_polytope(p)
+    assert rep.optimal is True and rep.vertices_covered
+    assert {c.order for c in rep.components} == set(lattice_points(N).points)
+    assert len(rep.components) == rep.lattice_point_count
+    for c in rep.components:
+        assert component_order(p, c.representative) == c.order
+        assert c.bounded == _interior(N, c.order)
+        assert (c.pixel_count, c.label) == (0, 0)
+
+
+def _mp_cyclic_resultant(exps, w, k):
+    """Q with R_k p(x) = Q(x^k), by multiplying out the k^2 factors
+    p(zeta^j x) at 50 digits; asserts that R_k p has no term off k Z^2."""
+    with mpmath.workdps(50):
+        terms = [(tuple(int(v) for v in e), mpmath.mpc(complex(c))) for e, c in zip(exps, w)]
+        prod = {(0, 0): mpmath.mpc(1)}
+        for j0 in range(k):
+            for j1 in range(k):
+                factor = [
+                    (e, c * mpmath.expjpi(mpmath.mpf(2 * (j0 * e[0] + j1 * e[1])) / k))
+                    for e, c in terms
+                ]
+                out = {}
+                for (a0, a1), x in prod.items():
+                    for (b0, b1), y in factor:
+                        out[(a0 + b0, a1 + b1)] = out.get((a0 + b0, a1 + b1), 0) + x * y
+                prod = out
+        top = max(abs(v) for v in prod.values())
+        assert all(abs(v) < mpmath.mpf(10) ** -40 * top
+                   for e, v in prod.items() if e[0] % k or e[1] % k)
+        return {(e[0] // k, e[1] // k): v for e, v in prod.items() if not (e[0] % k or e[1] % k)}
+
+
+@pytest.mark.parametrize("name", ["cross_poly", "line", "p3_paper"])
+def test_cyclic_resultant_error_is_within_its_bound(name, request):
+    """At every dominance point, for k = 1, 2, 3: the computed coefficients
+    of R_k p are within the computed l1 bound of a 50-digit product."""
+    p = line() if name == "line" else request.getfixturevalue(name)
+    exps, coeffs = amoeba._term_arrays(p)
+    exps -= exps.min(axis=0)
+    logs = np.array([math.log(abs(c)) for c in coeffs])
+    box = amoeba._report_box(adaptive_window(p))
+    checked = 0
+    for alpha in sorted(lattice_points(newton_polytope(p)).points):
+        xi = amoeba._dominance_point(exps, logs, alpha, box)
+        if xi is None:
+            continue
+        w, rho = amoeba._scaled_coefficients(exps, coeffs, np.round(xi, 6))
+        for k in (1, 2, 3):
+            resultant = amoeba._cyclic_resultant(exps, w, rho, k)
+            if resultant is None:  # p too close to 0 on the grid: nothing to bound
+                continue
+            q, scale, err = resultant
+            exact = _mp_cyclic_resultant(exps, w, k)
+            assert set(exact) <= set(np.ndindex(q.shape))
+            with mpmath.workdps(50):
+                off = sum(abs(exact.get(b, 0) * mpmath.ldexp(1, -scale) - complex(q[b]))
+                          for b in np.ndindex(q.shape))
+            assert off <= err
+            assert err < 1e-9 * np.abs(q).sum()
+            checked += 1
+    assert checked >= 9
+
+
+def test_restored_component_on_an_edge_is_unbounded():
+    """1 + 3x + x^2 + y: (1, 0) lies on the edge (0,0)-(2,0), not at a
+    vertex; restored from its certificate, its component is unbounded."""
+    p = LP(2, {(0, 0): 1, (1, 0): 3, (2, 0): 1, (0, 1): 1})
+    r = rasterize_amoeba(p, LogWindow(-8, 8, -8, 8, 200, 256))
+    gone = next(c for c in complement_components(r)
+                if component_order(p, c.representative) == (1, 0))
+    filled = AmoebaRaster(r.window, r.grid | (r.labels == gone.label))
+    rep = optimality_report(p, raster=filled)
+    restored = [c for c in rep.components if c.label == 0]
+    assert [(c.order, c.bounded) for c in restored] == [((1, 0), False)]
+    assert rep.optimal is True
 
 
 # -- optimality reports ---------------------------------------------------

@@ -20,7 +20,7 @@ from hgamoeba import (
     psi_from_polytope,
 )
 from hgamoeba.cli import main
-from conftest import QUADRILATERAL_VERTICES
+from conftest import P0_TERMS, P1_TERMS, QUADRILATERAL_VERTICES
 
 LP = LaurentPolynomial
 
@@ -382,6 +382,21 @@ def test_cli_optimal_support_with_a_gap(tmp_path, capsys):
     report = json.loads(rep.read_text())
     assert report["optimal"] is False and report["lattice_points"] == 4
     assert len(report["components"]) == 3
+
+
+@pytest.mark.parametrize("terms, count", [(P1_TERMS, 37), (P0_TERMS, 21)], ids=["p1", "p0"])
+def test_cli_optimal_at_gallery_settings(tmp_path, capsys, terms, count):
+    """At 200/256 the raster alone calls p1 and p0 not optimal; every lattice
+    point carries a certificate, so the verdict needs no raster."""
+    pfile = tmp_path / "p.json"
+    pfile.write_text(io.polynomial_to_json(LP(2, {e: Fraction(c) for e, c in terms.items()})))
+    rep = tmp_path / "rep.json"
+    code = main(["optimal", str(pfile), "--report", str(rep), "--res", "200", "--angles", "256"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[0] == "optimal"
+    assert out[1] == f"components: {count}  lattice points: {count}"
+    assert len(json.loads(rep.read_text())["components"]) == count
 
 
 def test_cli_orders(tmp_path, capsys):

@@ -10,7 +10,6 @@ from .amoeba import (
     complement_components,
     component_order,
     cross_polytope_optimal,
-    lopsided_at,
     lopsided_certificates,
     optimality_report,
     rasterize_amoeba,

@@ -103,6 +103,8 @@ def adaptive_window(
     that small examples keep their familiar frames.  All triples are solved
     in one stacked determinant and one stacked solve.
     """
+    if p.n != 2:
+        raise DomainError("the adaptive window is implemented for two variables")
     exps = _term_arrays(p)[0]
     logs = np.array([math.log(abs(complex(c))) for _, c in p.sorted_terms()])
     triples = np.array(list(itertools.combinations(range(len(logs)), 3)), dtype=int)
@@ -189,19 +191,20 @@ def _sweep(p, w: LogWindow):
     angles = _ring(coeffs, n_angles)
     solved = len(angles)
     block = max(1, FIBER_BLOCK_ROWS // solved)
-    log_c = np.log(np.abs(coeffs)) + 1j * np.angle(coeffs)
+    log_abs_c = np.log(np.abs(coeffs))
     u_bounds = ((w.x_min, w.x_max), (w.y_min, w.y_max))
     for axis in (0, 1):
         if exps[:, 1 - axis].max() == 0:
             continue
+        phases = _ring_phases(exps, coeffs, 1 - axis, angles)
         u_min, u_max = u_bounds[axis]
         du = (u_max - u_min) / w.resolution
         for i0 in range(0, w.resolution, block):
             cols = np.arange(i0, min(i0 + block, w.resolution))
             us = u_min + (cols + 0.5) * du
-            log_x = np.zeros((len(cols) * solved, 2), dtype=complex)
-            log_x[:, axis] = (us[:, None] + 1j * angles).ravel()
-            roots = _fiber_roots(_fiber_rows(exps, log_c, 1 - axis, log_x))
+            log_mod = np.zeros((len(cols), 2))
+            log_mod[:, axis] = us
+            roots = _fiber_roots(_fiber_rows(exps, log_abs_c, 1 - axis, log_mod, phases))
             with np.errstate(divide="ignore", invalid="ignore"):
                 logabs = np.log(np.abs(roots)).reshape(len(cols), solved, -1)
             for i, u, col in zip(cols.tolist(), us.tolist(), logabs):
@@ -223,25 +226,39 @@ def _ring(coeffs: np.ndarray, n_angles: int) -> np.ndarray:
     return 2.0 * np.pi * (np.arange(solved) + 0.5) / n_angles
 
 
-def _fiber_rows(exps: np.ndarray, log_c: np.ndarray, j: int, log_x: np.ndarray) -> np.ndarray:
-    """Coefficient rows, in x_j, of the fibers through the log-points log_x.
+def _ring_phases(exps: np.ndarray, coeffs: np.ndarray, j: int, angles: np.ndarray) -> np.ndarray:
+    """Unit phases e^{i(theta sum_{k != j} e_tk + arg c_t)}, (angles, terms),
+    of the terms on a ring whose coordinates other than x_j all turn by theta."""
+    turns = np.delete(exps, j, axis=1).sum(axis=1)
+    return np.exp(1j * (angles[:, None] * turns + np.angle(coeffs)))
 
-    ``exps`` (terms, n) are nonnegative exponents and ``log_c`` the complex
-    logs of the coefficients; ``log_x`` (rows, n) holds complex
-    log-coordinates, column j ignored.  Row r, entry k is the coefficient of
-    x_j^k.  Each row is scaled by its largest term in log space: huge
-    coefficient ranges would otherwise overflow exp and poison the fibers.
+
+def _fiber_rows(
+    exps: np.ndarray, log_abs_c: np.ndarray, j: int, log_mod: np.ndarray, phases: np.ndarray
+) -> np.ndarray:
+    """Coefficient rows, in x_j, of the fibers over a ring at each log-modulus.
+
+    ``exps`` (terms, n) are nonnegative exponents and ``log_abs_c`` the logs
+    of the coefficient moduli; ``log_mod`` (columns, n) holds real
+    log-moduli, column j ignored, and ``phases`` (angles, terms) is
+    ``_ring_phases``.  Row c * angles + a is the fiber at column c and angle
+    a; its entry k is the coefficient of x_j^k.  A term's weight is its
+    modulus, which depends on the column alone, times its phase, which
+    depends on the angle alone: one real exponential per column and term,
+    and the phases once per ring.  Each row is scaled by its largest term in
+    log space: huge coefficient ranges would otherwise overflow exp and
+    poison the fibers.
     """
     others = np.arange(exps.shape[1]) != j
-    log_w = log_x[:, others] @ exps[:, others].T + log_c  # (rows, terms)
-    weights = np.exp(log_w - log_w.real.max(axis=1, keepdims=True))
+    log_w = log_mod[:, others] @ exps[:, others].T + log_abs_c  # (columns, terms)
+    moduli = np.exp(log_w - log_w.max(axis=1, keepdims=True))
     sj = exps[:, j].astype(int)
-    rows = np.zeros((len(log_x), sj.max() + 1), dtype=complex)
+    rows = np.zeros((len(log_mod), len(phases), sj.max() + 1), dtype=complex)
     # each term into its slot, in term order; no BLAS, whose threads cost
     # more than the few additions of a slot at this size
     for t, k in enumerate(sj.tolist()):
-        rows[:, k] += weights[:, t]
-    return rows
+        rows[:, :, k] += moduli[:, t, None] * phases[:, t]
+    return rows.reshape(-1, sj.max() + 1)
 
 
 def complement_components(r: AmoebaRaster) -> list[ComplementComponent]:
@@ -288,12 +305,13 @@ def component_order(p, xi: Sequence[float]) -> tuple[int, ...]:
     exps, coeffs = _term_arrays(p)
     shift = np.minimum(exps.min(axis=0), 0)
     exps -= shift
-    log_c = np.log(np.abs(coeffs)) + 1j * np.angle(coeffs)
-    log_x = xi + 1j * _ring(coeffs, ORDER_ANGLES)[:, None]
+    log_abs_c = np.log(np.abs(coeffs))
+    angles = _ring(coeffs, ORDER_ANGLES)
     order = []
     for j in range(p.n):
         # x_j = e^{xi_j} t: rows scaled at xi itself; count the roots with |t| < 1
-        rows = _fiber_rows(exps, log_c + exps[:, j] * xi[j], j, log_x)
+        phases = _ring_phases(exps, coeffs, j, angles)
+        rows = _fiber_rows(exps, log_abs_c + exps[:, j] * xi[j], j, xi[None, :], phases)
         roots = _fiber_roots(rows)
         degree = np.where(rows != 0, np.arange(rows.shape[1]), 0).max(axis=1)
         lost = (~np.isnan(roots)).sum(axis=1) < degree
@@ -305,22 +323,6 @@ def component_order(p, xi: Sequence[float]) -> tuple[int, ...]:
             )
         order.append(int(counts[0] + shift[j]))
     return tuple(order)
-
-
-def lopsided_at(p, xi: Sequence[float]) -> Optional[tuple[int, ...]]:
-    """Dominant exponent if one weighted monomial outweighs the rest, else None.
-
-    A dominant exponent certifies that xi lies outside the amoeba, in the
-    complement component of that order.
-    """
-    xi = np.asarray(xi, dtype=float)
-    exps, coeffs = _term_arrays(p)
-    logs = np.array([math.log(abs(c)) for c in coeffs]) + exps @ xi
-    k = int(np.argmax(logs))
-    rest = np.exp(np.delete(logs, k) - logs[k]).sum()
-    if rest < 1.0:
-        return tuple(int(v) for v in exps[k])
-    return None
 
 
 def _dominance_point(exps, logs, alpha, box):

@@ -6,7 +6,11 @@ same-degree polynomials at once, which is what the rasterizer needs: the
 fiber sweep hands it a block of pixel columns, one polynomial per sampled
 angle of each column.
 
-* Start: the roots of a row start on circles whose log-radii are minus the
+* Start: a row of degree 1 or 2 starts at its closed-form roots, -c_0 / c_1
+  or the cancellation-free quadratic formula (Higham, Accuracy and
+  Stability of Numerical Algorithms, sec. 1.8), which usually pass the
+  stopping test at once.  Other rows, and a row whose closed form
+  overflows or underflows, start on circles whose log-radii are minus the
   slopes of the upper convex hull of (k, log|c_k|), the Newton polygon of
   the row, so roots of very different sizes start at their own scale.
 * Stop: a root is frozen once its componentwise backward error
@@ -35,6 +39,7 @@ MAX_ITER = 200
 BACKWARD_TOL = 4.0
 _EPS = np.finfo(float).eps
 _LOG_RADIUS_CAP = 700.0  # exp of this stays finite
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)  # |b| below this: b^2 is not a normal number
 
 
 def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
@@ -75,12 +80,46 @@ def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
     return np.exp(log_r + 1j * angle)
 
 
+def _start(c: np.ndarray) -> np.ndarray:
+    """Initial iterates: the closed-form roots of rows of degree 1 or 2, the
+    Newton-polygon start elsewhere.
+
+    A row falls back to the Newton-polygon start where its closed form is
+    not finite or is zero (a term overflowed or underflowed in it), and
+    where the square root is zero because b^2 and 4ac underflowed: its start
+    -b / 2a is then the critical point of the row, where no Newton step can
+    move a root that fails the stopping test.  A zero square root of normal
+    numbers comes from a double root, or from a pair closer than rounding
+    tells apart, whose midpoint meets that test; one that did not would end
+    as NaN, not as a wrong root.
+    """
+    d = c.shape[1] - 1
+    if d > 2:
+        return _newton_polygon_start(c)
+    with np.errstate(all="ignore"):
+        if d == 1:
+            z = -c[:, :1] / c[:, 1:]
+            underflow = False
+        else:
+            c0, b, a = c.T
+            s = np.sqrt(b * b - 4.0 * a * c0)
+            # the sign with |b + s| >= |b|: no cancellation in q
+            np.negative(s, out=s, where=(b.conj() * s).real < 0)
+            q = -0.5 * (b + s)
+            z = np.stack([q / a, c0 / q], axis=1)
+            underflow = (s == 0) & (np.abs(b) < _SQRT_TINY)
+        fallback = underflow | ~(np.isfinite(z) & (z != 0)).all(axis=1)
+    if fallback.any():
+        z[fallback] = _newton_polygon_start(c[fallback])
+    return z
+
+
 def _aberth(c: np.ndarray) -> np.ndarray:
     """Roots of rows with nonzero constant and leading terms, NaN where the
     backward-error test still fails after ``MAX_ITER`` iterations."""
     m, width = c.shape
     d = width - 1
-    z = _newton_polygon_start(c).ravel()
+    z = _start(c).ravel()
     rows_of_z = z.reshape(m, d)
     tol = BACKWARD_TOL * d * _EPS
     # coefficient k of row i in z^k order at [k, 2i], in (1/z)^k order at [k, 2i + 1]

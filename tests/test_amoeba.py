@@ -22,7 +22,6 @@ from hgamoeba import (
     component_order,
     cross_polytope_optimal,
     lattice_points,
-    lopsided_at,
     newton_polytope,
     optimality_report,
     rasterize_amoeba,
@@ -54,6 +53,12 @@ def test_adaptive_window_tracks_large_coefficients():
     p = LP(2, {(0, 0): 1, (1, 0): 10 ** 10, (0, 1): 1})
     w = adaptive_window(p)
     assert w.x_max >= math.log(1e10) - 1.0
+
+
+def test_adaptive_window_needs_two_variables():
+    p = LP(3, {(0, 0, 0): 1, (1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1})
+    with pytest.raises(DomainError, match="two variables"):
+        adaptive_window(p)
 
 
 def loop_adaptive_window(p, resolution=400, angular_samples=512, pad=4.0):
@@ -361,6 +366,19 @@ def cross_polytope_3d(rng):
     return LP(3, terms)
 
 
+def lopsided_at(p, xi):
+    """Dominant exponent if one weighted monomial outweighs the rest at the
+    log-point xi, else None: a dominant exponent puts xi in the complement
+    component of that order.  The oracle for the orders in n variables."""
+    xi = np.asarray(xi, dtype=float)
+    exps, coeffs = amoeba._term_arrays(p)
+    logs = np.array([math.log(abs(c)) for c in coeffs]) + exps @ xi
+    k = int(np.argmax(logs))
+    if np.exp(np.delete(logs, k) - logs[k]).sum() < 1.0:
+        return tuple(int(v) for v in exps[k])
+    return None
+
+
 def test_three_variable_orders_equal_lopsided_exponents():
     rng = np.random.default_rng(3)
     checked = set()
@@ -421,17 +439,6 @@ def test_half_ring_orders_equal_the_full_ring(p1_paper, monkeypatch):
 
 
 # -- lopsidedness ---------------------------------------------------------
-
-
-def test_lopsided_corners_and_interior():
-    p = line()
-    assert lopsided_at(p, (-10.0, -10.0)) == (0, 0)
-    assert lopsided_at(p, (10.0, -10.0)) == (1, 0)
-    assert lopsided_at(p, (0.0, 0.0)) is None  # on/near the amoeba
-
-
-def test_lopsided_p3_far_right(p3_paper):
-    assert lopsided_at(p3_paper, (15.0, 0.0)) == (3, 2)
 
 
 def test_lopsided_implies_nonvanishing(p3_paper):

@@ -16,6 +16,7 @@ from hgamoeba import (
     ParseError,
     facet_description,
     horn_system,
+    hypergeometric_polynomial,
     io,
     psi_from_polytope,
 )
@@ -450,6 +451,32 @@ def test_cli_hadamard_rejects_bad_input_before_touching_the_output(tmp_path, p3_
         assert main(argv) == code
         assert out.read_text() == "old\n"
     assert sorted(os.listdir(tmp_path)) == ["h.csv", "p3.json", "signed.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimal", "--report", "r.json"],
+        ["amoeba", "-o", "a.ppm", "--report", "r.json"],
+        ["wca", "-o", "w.ppm"],
+        ["hadamard", "--r", "1,2", "-o", "h.csv"],
+    ],
+    ids=["optimal", "amoeba", "wca", "hadamard"],
+)
+def test_cli_three_variables_is_a_domain_error(tmp_path, capsys, argv):
+    """psi of the 3-D cross-polytope is a valid polynomial that the planar
+    commands do not handle: exit 2 and a two-variables message, not a parse
+    error from the window's 2 x 2 solve."""
+    P = facet_description(
+        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    ).canonical_translate()
+    pfile = tmp_path / "cross3.json"
+    pfile.write_text(io.polynomial_to_json(hypergeometric_polynomial(P)))
+    cmd, *rest = argv
+    rest = [str(tmp_path / v) if v.endswith((".json", ".ppm", ".csv")) else v for v in rest]
+    assert main([cmd, str(pfile), *rest, "--res", "24", "--angles", "64"]) == 2
+    assert "two variables" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["cross3.json"]
 
 
 def test_cli_csv_fields_are_numbers(tmp_path, p3_file):

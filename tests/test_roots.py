@@ -176,8 +176,10 @@ def test_vieta_degree_12(coeffs):
 # ``reference_start`` and ``reference_aberth`` are the kernel as it was
 # before it computed in place: the hull slopes as one (m, d + 1, d + 1) array,
 # Horner on whole gathered coefficient rows.  The in-place kernel performs
-# the same floating-point operations in the same order, so its roots must be
-# bitwise equal, NaNs included.
+# the same floating-point operations in the same order, so its Newton-polygon
+# start must equal ``reference_start`` and, from the kernel's own start
+# (closed-form roots for degree 1 and 2), its roots must be bitwise equal to
+# ``reference_aberth``'s, NaNs included.
 
 
 def reference_start(c):
@@ -205,7 +207,7 @@ def reference_start(c):
 def reference_aberth(c):
     m, width = c.shape
     d = width - 1
-    z = reference_start(c).ravel()
+    z = kernel._start(c).ravel()
     tol = kernel.BACKWARD_TOL * d * kernel._EPS
     both = np.stack([c, c[:, ::-1]], axis=1).reshape(-1, width)
     both_abs = np.abs(both)
@@ -269,12 +271,12 @@ def test_kernel_matches_reference_on_a_root_beyond_the_float_range():
 def test_kernel_matches_reference_on_p1_fiber_rows(p1_paper):
     """A block of p1 fiber rows as the sweep builds them, in both axes."""
     exps, coeffs = amoeba._term_arrays(p1_paper)
-    log_c = np.log(np.abs(coeffs)) + 1j * np.angle(coeffs)
     ring = amoeba._ring(coeffs, 512)
     for axis in (0, 1):
-        log_x = np.zeros((3 * len(ring), 2), dtype=complex)
-        log_x[:, axis] = (np.array([-7.9, 0.05, 6.3])[:, None] + 1j * ring).ravel()
-        rows = amoeba._fiber_rows(exps, log_c, 1 - axis, log_x)
+        log_mod = np.zeros((3, 2))
+        log_mod[:, axis] = [-7.9, 0.05, 6.3]
+        phases = amoeba._ring_phases(exps, coeffs, 1 - axis, ring)
+        rows = amoeba._fiber_rows(exps, np.log(np.abs(coeffs)), 1 - axis, log_mod, phases)
         assert (rows[:, 0] != 0).all() and (rows[:, -1] != 0).all()
         assert_kernel_matches_reference(rows)
 
@@ -298,3 +300,111 @@ def test_kernel_memory_peak_on_a_sweep_block():
     finally:
         tracemalloc.stop()
     assert peak <= 5e6
+
+
+# -- closed-form starts of degree 1 and 2 -----------------------------------
+
+
+def wide_rows(rng, d):
+    """Seeded rows of degree d: coefficient moduli spanning 1e+-30, and
+    roots of modulus 1e+-150."""
+    m = 40
+    c = 10.0 ** rng.uniform(-30, 30, (m, d + 1)) * np.exp(2j * np.pi * rng.random((m, d + 1)))
+    r = 10.0 ** rng.uniform(-150, 150, (m, d)) * np.exp(2j * np.pi * rng.random((m, d)))
+    if d == 1:
+        lead = 10.0 ** rng.uniform(-150, 150, m)
+        return np.concatenate([c, np.stack([-r[:, 0] * lead, lead], axis=1)])
+    return np.concatenate([c, np.stack([r[:, 0] * r[:, 1], -(r[:, 0] + r[:, 1]), np.ones(m)], axis=1)])
+
+
+DOUBLE_ROOTS = np.array([3.0, -2.5, 0.75 + 1.25j, 1j, 1024.0 - 0.5j])
+
+
+def double_root_rows():
+    """(z - r)^2 with every coefficient exact in floating point."""
+    return np.stack([DOUBLE_ROOTS**2, -2 * DOUBLE_ROOTS, np.ones(len(DOUBLE_ROOTS))], axis=1)
+
+
+def special_rows(rng, d):
+    """Seeded rows of degree d with coefficients of modulus about 1; for
+    d = 2 also b = 0, and positive, negative and imaginary discriminants."""
+    m = 40
+    c = rng.normal(size=(m, d + 1)) + 1j * rng.normal(size=(m, d + 1))
+    if d == 1:
+        return c
+    rows = [c, np.stack([c[:, 0], np.zeros(m), c[:, 2]], axis=1)]  # b = 0
+    a, b = rng.uniform(0.5, 2.0, (2, m))
+    for disc in (b * b / 2, -b * b, 2j * b * b):  # b^2 - 4ac = disc
+        rows.append(np.stack([(b * b - disc) / (4 * a), b, a], axis=1))
+    return np.concatenate(rows).astype(complex)
+
+
+def mpmath_roots(row):
+    """The roots to 50 digits: the textbook formulas, at enough digits that
+    the cancellation in -b + sqrt(b^2 - 4ac) over the float range costs none
+    of those 50."""
+    with mpmath.workdps(1300):
+        c = [mpmath.mpc(complex(a)) for a in row]
+        if len(c) == 2:
+            return [complex(-c[0] / c[1])]
+        s = mpmath.sqrt(c[1] ** 2 - 4 * c[2] * c[0])
+        return [complex((-c[1] + s) / (2 * c[2])), complex((-c[1] - s) / (2 * c[2]))]
+
+
+def assert_roots_match_mpmath(rows, roots, rel):
+    """Every root finite, within the backward-error bound, and within
+    ``rel`` of its mpmath root."""
+    assert np.isfinite(roots).all()
+    d = rows.shape[1] - 1
+    tol = kernel.BACKWARD_TOL * d * kernel._EPS
+    for row, got in zip(rows, roots):
+        assert max(backward_error(row, z) for z in got) <= tol
+        want = mpmath_roots(row)
+        err = min(
+            max(abs(z - w) / abs(w) for z, w in zip(got, perm))
+            for perm in (want, want[::-1])
+        )
+        assert err <= rel
+
+
+# a power of two scales a row exactly and moves no root; beyond about
+# 2^+-511, b^2 or 4ac overflows or underflows in the closed form, so such
+# rows fall back to the Newton-polygon start or iterate on from a poor start
+SCALES = [0, 100, -100, 500, -500, 540, -540, 670, -670]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_closed_form_start_on_wide_rows(d):
+    rng = np.random.default_rng(77 + d)
+    rows = wide_rows(rng, d)
+    assert_roots_match_mpmath(rows, aberth_roots_batch(rows), 1e-10)
+
+
+@pytest.mark.parametrize("log2_scale", SCALES)
+@pytest.mark.parametrize("d", [1, 2])
+def test_closed_form_start_on_scaled_rows(d, log2_scale):
+    rows = special_rows(np.random.default_rng(79 + d), d) * 2.0**log2_scale
+    assert_roots_match_mpmath(rows, aberth_roots_batch(rows), 1e-10)
+
+
+@pytest.mark.parametrize("log2_scale", SCALES)
+def test_double_roots(log2_scale):
+    """Exact while b^2 is a normal number: the closed form gives the double
+    root at once.  Where b^2 overflows or underflows the row iterates from
+    the Newton-polygon start to a pair about sqrt(eps) apart, as a double
+    root's conditioning allows."""
+    rows = double_root_rows() * 2.0**log2_scale
+    roots = aberth_roots_batch(rows)
+    if abs(log2_scale) <= 500:
+        assert (roots == DOUBLE_ROOTS[:, None]).all()
+    assert_roots_match_mpmath(rows, roots, 1e-7)
+
+
+def test_closed_form_starts_need_no_iteration(cross_poly, monkeypatch):
+    """Every fiber of the cross-polytope sweep at 400/512 is a quadratic whose
+    closed-form roots already pass the stopping test: with no iterations
+    allowed, no root is NaN, and each column keeps 2 roots per angle."""
+    monkeypatch.setattr(kernel, "MAX_ITER", 0)
+    w = amoeba.adaptive_window(cross_poly, 400, 512)
+    counts = [len(vals) for _, _, _, vals in amoeba._sweep(cross_poly, w)]
+    assert counts == [2 * 512] * 800

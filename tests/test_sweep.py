@@ -155,27 +155,68 @@ def test_wca_cloud_equals_the_full_sweep(power, p3_paper):
         assert dist.max() <= 1e-12
 
 
-def slot_product_rows(exps, log_c, j, log_x):
-    """``_fiber_rows`` as a matrix product of the weights with a 0/1
-    term-to-slot matrix: the reference for the per-slot sums."""
+def slot_product_rows(exps, log_abs_c, j, log_mod, phases):
+    """``_fiber_rows`` as a matrix product of the weights, column modulus
+    times angle phase, with a 0/1 term-to-slot matrix: the reference for the
+    per-slot sums."""
     others = np.arange(exps.shape[1]) != j
-    log_w = log_x[:, others] @ exps[:, others].T + log_c
-    weights = np.exp(log_w - log_w.real.max(axis=1, keepdims=True))
+    log_w = log_mod[:, others] @ exps[:, others].T + log_abs_c
+    moduli = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    weights = (moduli[:, None, :] * phases).reshape(-1, len(exps))
     sj = exps[:, j].astype(int)
-    slots = np.zeros((len(log_c), sj.max() + 1))
-    slots[np.arange(len(log_c)), sj] = 1.0
+    slots = np.zeros((len(exps), sj.max() + 1))
+    slots[np.arange(len(exps)), sj] = 1.0
     return weights @ slots
 
 
-@pytest.mark.parametrize("name", ["p1_paper", "p0_paper", "p3_paper", "appell_5443"])
-def test_fiber_rows_equal_the_slot_matrix_product(name, request):
-    """Bitwise, for both fiber coordinates, on a block of 2048 seeded rows."""
+def complex_exp_rows(exps, coeffs, j, log_mod, angles):
+    """The fiber rows with each weight one complex exponential of its
+    complex log, every coordinate but x_j turned by the angle."""
+    others = np.arange(exps.shape[1]) != j
+    log_x = (log_mod[:, None, :] + 1j * angles[:, None]).reshape(-1, exps.shape[1])
+    log_w = log_x[:, others] @ exps[:, others].T + np.log(np.abs(coeffs)) + 1j * np.angle(coeffs)
+    weights = np.exp(log_w - log_w.real.max(axis=1, keepdims=True))
+    sj = exps[:, j].astype(int)
+    slots = np.zeros((len(exps), sj.max() + 1))
+    slots[np.arange(len(exps)), sj] = 1.0
+    return weights @ slots
+
+
+def seeded_blocks(name, request):
+    """For each fiber coordinate j, a block of 8 columns of seeded
+    log-moduli over a ring of 256 seeded angles: 2048 rows."""
     p = request.getfixturevalue(name)
     exps, coeffs = amoeba._term_arrays(p)
     exps -= np.minimum(exps.min(axis=0), 0)
-    log_c = np.log(np.abs(coeffs)) + 1j * np.angle(coeffs)
     rng = np.random.default_rng(14)
     for j in range(p.n):
-        log_x = rng.uniform(-8, 8, (2048, p.n)) + 1j * rng.uniform(0, 2 * np.pi, (2048, p.n))
-        got = amoeba._fiber_rows(exps, log_c, j, log_x)
-        assert got.tobytes() == slot_product_rows(exps, log_c, j, log_x).tobytes()
+        log_mod = rng.uniform(-8, 8, (8, p.n))
+        angles = rng.uniform(0, 2 * np.pi, 256)
+        yield exps, coeffs, j, log_mod, angles
+
+
+FIBER_ROW_POLYS = ["p1_paper", "p0_paper", "p3_paper", "appell_5443"]
+
+
+@pytest.mark.parametrize("name", FIBER_ROW_POLYS)
+def test_fiber_rows_equal_the_slot_matrix_product(name, request):
+    """Bitwise, for both fiber coordinates, on a block of 2048 seeded rows."""
+    for exps, coeffs, j, log_mod, angles in seeded_blocks(name, request):
+        phases = amoeba._ring_phases(exps, coeffs, j, angles)
+        log_abs_c = np.log(np.abs(coeffs))
+        got = amoeba._fiber_rows(exps, log_abs_c, j, log_mod, phases)
+        want = slot_product_rows(exps, log_abs_c, j, log_mod, phases)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", FIBER_ROW_POLYS)
+def test_fiber_rows_are_within_rounding_of_the_complex_exponential(name, request):
+    """Modulus times phase moves a coefficient by a few ulps of its row's
+    largest weight, against one complex exponential per weight.  That weight
+    is 1, the scale of the row; a slot sum can cancel far below it."""
+    eps = np.finfo(float).eps
+    for exps, coeffs, j, log_mod, angles in seeded_blocks(name, request):
+        phases = amoeba._ring_phases(exps, coeffs, j, angles)
+        got = amoeba._fiber_rows(exps, np.log(np.abs(coeffs)), j, log_mod, phases)
+        want = complex_exp_rows(exps, coeffs, j, log_mod, angles)
+        assert (np.abs(got - want) <= 4 * eps).all()

@@ -36,6 +36,7 @@ ORDER_ANGLES = 64  # ring of fiber angles on which component_order counts roots
 CERT_MAX_K = 8  # largest k of the cyclic resultants R_k p tried per lattice point
 FIBER_BLOCK_ROWS = 2048  # fiber rows the sweep solves at once, in whole columns
 DILATION_PIXELS = 1  # sampling-gap closing of the amoeba and WCA rasters
+WINDOW_PAD = 4.0  # log-space margin of adaptive_window around the tropical vertices
 FOUR_CONNECTED = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
 UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
@@ -93,9 +94,7 @@ def _term_arrays(p) -> tuple[np.ndarray, np.ndarray]:
     return np.array(exps, dtype=float), np.array(coeffs, dtype=complex)
 
 
-def adaptive_window(
-    p, resolution: int = 400, angular_samples: int = 512, pad: float = 4.0
-) -> LogWindow:
+def adaptive_window(p, resolution: int = 400, angular_samples: int = 512) -> LogWindow:
     """Window around the tropical skeleton of the polynomial.
 
     Collects the tie points of triples of weighted monomials (the tropical
@@ -115,8 +114,8 @@ def adaptive_window(
     ties = np.linalg.solve(mats[solvable], rhs[solvable, :, None])[:, :, 0]
     xs = np.append(ties[:, 0], 0.0)
     ys = np.append(ties[:, 1], 0.0)
-    x_lo, x_hi = xs.min() - pad, xs.max() + pad
-    y_lo, y_hi = ys.min() - pad, ys.max() + pad
+    x_lo, x_hi = xs.min() - WINDOW_PAD, xs.max() + WINDOW_PAD
+    y_lo, y_hi = ys.min() - WINDOW_PAD, ys.max() + WINDOW_PAD
     half = max(5.0, x_hi, -x_lo, y_hi, -y_lo)
     return LogWindow(-half, half, -half, half, resolution, angular_samples)
 

@@ -36,15 +36,13 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _parse_window(args, p=None) -> am.LogWindow:
+def _parse_window(args, p) -> am.LogWindow:
     if args.window:
         parts = [float(v) for v in args.window.split(",")]
         if len(parts) != 4:
             raise ParseError("--window expects xmin,xmax,ymin,ymax")
         return am.LogWindow(parts[0], parts[1], parts[2], parts[3],
                             args.res, args.angles)
-    if p is None:
-        raise ParseError("--window required without a polynomial")
     return am.adaptive_window(p, args.res, args.angles)
 
 
@@ -93,23 +91,11 @@ def _analyze(args):
 
 def cmd_amoeba(args) -> int:
     p = io.polynomial_from_json(_read(args.polynomial))
-    w = _parse_window(args, p)
-    raster = am.rasterize_amoeba(p, w)
-    comps, notes = am.resolved_components(p, raster)
-    io.write_ppm(args.output, io.amoeba_ppm(raster.grid, comps, raster.labels))
-    report = {
-        "components": [
-            {
-                "order": list(c.order) if c.order is not None else None,
-                "bounded": c.bounded,
-                "representative": list(c.representative),
-            }
-            for c in comps
-        ],
-        "notes": notes,
-    }
-    io.atomic_write_text(args.report, json.dumps(report, indent=2))
-    print(f"{len(comps)} complement components")
+    raster = am.rasterize_amoeba(p, _parse_window(args, p))
+    report = am.optimality_report(p, raster=raster)
+    io.write_ppm(args.output, io.amoeba_ppm(raster.grid, report.components, raster.labels))
+    io.atomic_write_text(args.report, json.dumps(report.to_json_dict(), indent=2))
+    print(f"{len(report.components)} complement components")
     return EXIT_OK
 
 
@@ -201,9 +187,6 @@ def cmd_gallery(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     res, angles = args.res, args.angles
 
-    def poly_window(p):
-        return am.adaptive_window(p, res, angles)
-
     jobs = {}
     jobs["hyperplane"] = LaurentPolynomial(
         2, {(0, 0): 1, (1, 0): 1, (0, 1): 1}
@@ -228,8 +211,7 @@ def cmd_gallery(args) -> int:
     jobs["biorthogonal_6_10"] = families.biorthogonal_vtilde((6, 10))
 
     for name, p in jobs.items():
-        w = poly_window(p)
-        raster = am.rasterize_amoeba(p, w)
+        raster = am.rasterize_amoeba(p, am.adaptive_window(p, res, angles))
         io.write_ppm(os.path.join(outdir, f"{name}_amoeba.ppm"), io.amoeba_ppm(raster.grid))
         io.atomic_write_text(
             os.path.join(outdir, f"{name}.json"), io.polynomial_to_json(p)
@@ -238,7 +220,7 @@ def cmd_gallery(args) -> int:
 
     # weighted compactified amoeba of the 6th Hadamard power (quadrilateral)
     p3 = jobs["quadrilateral"]
-    cloud = moment.rasterize_wca(p3.hadamard_power(6), poly_window(p3))
+    cloud = moment.rasterize_wca(p3.hadamard_power(6), am.adaptive_window(p3, res, angles))
     P3 = newton_polytope(p3)
     grid, bounds = moment.wca_occupancy(cloud, P3, res)
     io.write_ppm(os.path.join(outdir, "quadrilateral_wca_h6.ppm"), io.wca_ppm(grid, P3, bounds))

@@ -1,20 +1,22 @@
-"""Exact multivariate Laurent polynomials with rational coefficients.
+"""Multivariate Laurent polynomials, exact and floating.
 
 Polynomials are stored as a map from integer exponent vectors to nonzero
-``Fraction`` coefficients.  All arithmetic is exact; transformations with
-non-rational scaling produce a parallel floating-complex variant
-(:class:`ComplexLaurentPolynomial`) that exact verification code refuses
-to accept.
+coefficients.  :class:`LaurentPolynomial` holds ``Fraction`` coefficients
+and all its arithmetic is exact; transformations with non-rational scaling
+and fractional Hadamard powers produce the floating-complex flavour
+(:class:`ComplexLaurentPolynomial`), which exact verification code refuses
+by its type (:func:`require_exact`).  The product, power, exponent shift,
+monomial substitution and evaluation are each one loop for both number
+types; only the type, its zero and its one differ.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from .errors import DomainError, InexactCoefficientError, InvalidTransformError
 
@@ -35,12 +37,56 @@ def _clean_terms(n: int, terms: Mapping[Exponent, Fraction]) -> dict[Exponent, F
     return out
 
 
+class _LaurentTerms:
+    """What both flavours share.  A subclass has ``n`` and ``terms``, is built
+    from ``(n, terms)`` and names the zero its sums start from in ``_zero``."""
+
+    @property
+    def support(self) -> set[Exponent]:
+        return set(self.terms)
+
+    def sorted_terms(self) -> list[tuple[Exponent, Any]]:
+        """Terms in lexicographic exponent order (the canonical iteration order)."""
+        return sorted(self.terms.items())
+
+    def _product(self, other):
+        """Term-by-term product with a polynomial of the same flavour."""
+        zero = self._zero
+        terms: dict[Exponent, Any] = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                terms[e] = terms.get(e, zero) + c1 * c2
+        return type(self)(self.n, terms)
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative polynomial powers are not defined")
+        result = type(self)(self.n, {(0,) * self.n: 1})
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return result
+
+    def shift(self, a: Iterable[int]):
+        """The product with the monomial x^a."""
+        a = tuple(int(e) for e in a)
+        return type(self)(
+            self.n,
+            {tuple(e + d for e, d in zip(exp, a)): c for exp, c in self.terms.items()},
+        )
+
+
 @dataclass(frozen=True)
-class LaurentPolynomial:
+class LaurentPolynomial(_LaurentTerms):
     """A Laurent polynomial in ``n`` variables with exact rational coefficients."""
 
     n: int
     terms: dict[Exponent, Fraction] = field(default_factory=dict)
+    _zero = Fraction(0)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", _clean_terms(self.n, self.terms))
@@ -71,16 +117,8 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @property
-    def support(self) -> set[Exponent]:
-        return set(self.terms)
-
     def coefficient(self, exp: Iterable[int]) -> Fraction:
         return self.terms.get(tuple(int(e) for e in exp), Fraction(0))
-
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        """Terms in lexicographic exponent order (the canonical iteration order)."""
-        return sorted(self.terms.items())
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPolynomial):
@@ -125,31 +163,9 @@ class LaurentPolynomial:
         return self._coerce(other) - self
 
     def __mul__(self, other) -> "LaurentPolynomial":
-        if isinstance(other, Rational):
-            return LaurentPolynomial(
-                self.n, {e: c * Fraction(other) for e, c in self.terms.items()}
-            )
-        other = self._coerce(other)
-        terms: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return LaurentPolynomial(self.n, terms)
+        return self._product(self._coerce(other))
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "LaurentPolynomial":
-        if k < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = LaurentPolynomial.constant(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def _coerce(self, other) -> "LaurentPolynomial":
         if isinstance(other, LaurentPolynomial):
@@ -164,42 +180,31 @@ class LaurentPolynomial:
 
     def evaluate(self, x: Iterable[complex]) -> complex:
         """Evaluate at a complex point, summing in lexicographic exponent order."""
-        x = tuple(complex(v) for v in x)
-        if len(x) != self.n:
-            raise ValueError("point dimension mismatch")
-        total = 0j
-        for exp, c in self.sorted_terms():
-            mono = 1 + 0j
-            for v, e in zip(x, exp):
-                if e == 0:
-                    continue
-                if v == 0:
-                    if e < 0:
-                        raise DomainError("zero coordinate with negative exponent")
-                    mono = 0j
-                    break
-                mono *= v ** e
-            total += complex(c) * mono
-        return total
+        return self._evaluate(x, complex, [(e, complex(c)) for e, c in self.sorted_terms()])
 
     def evaluate_exact(self, s: Iterable) -> Fraction:
         """Evaluate at a rational point with exact arithmetic.
 
         Requires nonnegative exponents at zero coordinates.
         """
-        s = tuple(Fraction(v) for v in s)
-        if len(s) != self.n:
+        # an exact sum does not depend on the order
+        return self._evaluate(s, Fraction, self.terms.items())
+
+    def _evaluate(self, x, num, terms):
+        """Sum of c * x^e over ``terms`` in their order, in the number type ``num``."""
+        x = tuple(num(v) for v in x)
+        if len(x) != self.n:
             raise ValueError("point dimension mismatch")
-        total = Fraction(0)
-        for exp, c in self.terms.items():  # an exact sum does not depend on the order
-            mono = Fraction(1)
-            for v, e in zip(s, exp):
+        total = num(0)
+        for exp, c in terms:
+            mono = num(1)
+            for v, e in zip(x, exp):
                 if e == 0:
                     continue
                 if v == 0:
                     if e < 0:
                         raise DomainError("zero coordinate with negative exponent")
-                    mono = Fraction(0)
+                    mono = num(0)
                     break
                 mono *= v ** e
             total += c * mono
@@ -225,45 +230,23 @@ class LaurentPolynomial:
         t = tuple(t)
         if a is None:
             a = (0,) * n
-        a = tuple(int(e) for e in a)
         if ell < 1:
             raise ValueError("ell must be a positive integer")
         if any(val == 0 for val in t):
             raise DomainError("t must have nonzero entries")
 
-        exact = all(isinstance(val, Rational) for val in t)
-        if exact:
-            terms: dict[Exponent, Fraction] = {}
-            for exp, c in self.terms.items():
-                new_exp = tuple(
-                    sum(exp[j] * rows[j][k] for j in range(n)) for k in range(n)
-                )
-                scale = Fraction(1)
-                for val, e in zip(t, exp):
-                    scale *= Fraction(val) ** e
-                terms[new_exp] = terms.get(new_exp, Fraction(0)) + c * scale
-            result = LaurentPolynomial(n, terms) ** ell
-            shifted = {
-                tuple(e + d for e, d in zip(exp, a)): c
-                for exp, c in result.terms.items()
-            }
-            return LaurentPolynomial(n, shifted)
-
-        cterms: dict[Exponent, complex] = {}
+        if all(isinstance(val, Rational) for val in t):
+            num, flavour = Fraction, LaurentPolynomial
+        else:
+            num, flavour = complex, ComplexLaurentPolynomial
+        terms = {}
         for exp, c in self.terms.items():
-            new_exp = tuple(
-                sum(exp[j] * rows[j][k] for j in range(n)) for k in range(n)
-            )
-            scale = 1 + 0j
+            new_exp = tuple(sum(e * row[k] for e, row in zip(exp, rows)) for k in range(n))
+            scale = num(1)
             for val, e in zip(t, exp):
-                scale *= complex(val) ** e
-            cterms[new_exp] = cterms.get(new_exp, 0j) + complex(c) * scale
-        result = ComplexLaurentPolynomial(n, cterms) ** ell
-        shifted_c = {
-            tuple(e + d for e, d in zip(exp, a)): c
-            for exp, c in result.terms.items()
-        }
-        return ComplexLaurentPolynomial(n, shifted_c)
+                scale *= num(val) ** e
+            terms[new_exp] = terms.get(new_exp, num(0)) + num(c) * scale
+        return (flavour(n, terms) ** ell).shift(a)
 
     def hadamard_power(self, r):
         """Coefficientwise r-th power.
@@ -272,21 +255,12 @@ class LaurentPolynomial:
         otherwise all coefficients must be strictly positive and the result
         carries floating-point coefficients.
         """
-        if isinstance(r, int) or (isinstance(r, Rational) and Fraction(r).denominator == 1):
-            k = int(r)
-            if k >= 0:
-                return LaurentPolynomial(self.n, {e: c ** k for e, c in self.terms.items()})
+        if isinstance(r, Rational) and Fraction(r).denominator == 1 and r >= 0:
+            return LaurentPolynomial(self.n, {e: c ** int(r) for e, c in self.terms.items()})
         if any(c <= 0 for c in self.terms.values()):
             raise DomainError("fractional Hadamard power needs strictly positive coefficients")
         return ComplexLaurentPolynomial(
             self.n, {e: complex(float(c) ** float(r)) for e, c in self.terms.items()}
-        )
-
-    def shift(self, a: Iterable[int]) -> "LaurentPolynomial":
-        a = tuple(int(e) for e in a)
-        return LaurentPolynomial(
-            self.n,
-            {tuple(e + d for e, d in zip(exp, a)): c for exp, c in self.terms.items()},
         )
 
     def scaled_to_integers(self) -> "LaurentPolynomial":
@@ -297,19 +271,16 @@ class LaurentPolynomial:
         numer = gcd(*(abs(c.numerator) for c in self.terms.values()))
         return self * Fraction(denom, numer)
 
-    def newton_polytope(self):
-        from .polytope import newton_polytope
 
-        return newton_polytope(self)
-
-
-class ComplexLaurentPolynomial:
+class ComplexLaurentPolynomial(_LaurentTerms):
     """Floating-coefficient companion of :class:`LaurentPolynomial`.
 
     Produced by transformations with non-rational scale vectors and by
     fractional Hadamard powers.  Exact verification operations reject it;
     the amoeba numerics accept either flavor.
     """
+
+    _zero = 0j
 
     def __init__(self, n: int, terms: Mapping[Exponent, complex]):
         self.n = n
@@ -319,36 +290,12 @@ class ComplexLaurentPolynomial:
             if c != 0
         }
 
-    @property
-    def support(self) -> set[Exponent]:
-        return set(self.terms)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
     def __mul__(self, other):
         if isinstance(other, ComplexLaurentPolynomial):
-            terms: dict[Exponent, complex] = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    terms[e] = terms.get(e, 0j) + c1 * c2
-            return ComplexLaurentPolynomial(self.n, terms)
+            return self._product(other)
         return ComplexLaurentPolynomial(
             self.n, {e: c * complex(other) for e, c in self.terms.items()}
         )
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = ComplexLaurentPolynomial(self.n, {(0,) * self.n: 1})
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
 
     def __repr__(self):
         return f"ComplexLaurentPolynomial(n={self.n}, {len(self.terms)} terms)"

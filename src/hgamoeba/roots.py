@@ -166,12 +166,17 @@ def _aberth(c: np.ndarray) -> np.ndarray:
             np.divide(1.0, diff, out=diff)
             step = diff.sum(axis=1)
             del diff  # the largest temporary: not alive when the next one is made
+            # on a critical point p' = 0 and the Newton step is not finite; the
+            # Aberth step N / (1 - N S) tends to -1 / S as N grows
+            critical = ~np.isfinite(newton)
+            limit = np.divide(-1.0, step[critical])
             np.multiply(newton, step, out=step)
             np.subtract(1.0, step, out=step)
             np.divide(newton, step, out=step)
             bad = ~np.isfinite(step)
             step[bad] = newton[bad]
-            step[~np.isfinite(step)] = 0.0
+            step[critical] = limit
+            step[~np.isfinite(step)] = 0.0  # S = 0 as well: no direction to move in
             z[idx] = np.subtract(zi, step, out=step)
     z[idx] = np.nan
     return rows_of_z

@@ -1,8 +1,10 @@
 """Serialization formats and the command-line interface."""
 
+import argparse
 import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,13 +16,14 @@ from hgamoeba import (
     MomentImagePointCloud,
     OreSatoCoefficient,
     ParseError,
+    amoeba,
     facet_description,
     horn_system,
     hypergeometric_polynomial,
     io,
     psi_from_polytope,
 )
-from hgamoeba.cli import main
+from hgamoeba.cli import build_parser, main
 from conftest import P0_TERMS, P1_TERMS, QUADRILATERAL_VERTICES
 
 LP = LaurentPolynomial
@@ -359,6 +362,23 @@ def test_cli_amoeba_and_optimal(tmp_path, capsys):
     assert "optimal" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("name", ["line", "cross"])
+def test_cli_amoeba_report_is_the_optimality_report(tmp_path, cross_poly, name):
+    """`amoeba --report` writes the report `optimal --report` would write for
+    the same raster, and the PPM still colours the resolved components."""
+    p = cross_poly if name == "cross" else LP(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
+    pfile = tmp_path / "p.json"
+    pfile.write_text(io.polynomial_to_json(p))
+    ppm, rep = tmp_path / "a.ppm", tmp_path / "a.json"
+    argv = ["amoeba", str(pfile), "-o", str(ppm), "--report", str(rep)]
+    assert main(argv + ["--res", "100", "--angles", "128"]) == 0
+    raster = amoeba.rasterize_amoeba(p, amoeba.adaptive_window(p, 100, 128))
+    want = amoeba.optimality_report(p, raster=raster).to_json_dict()
+    assert json.loads(rep.read_text()) == json.loads(json.dumps(want))
+    comps, _ = amoeba.resolved_components(p, raster)
+    assert ppm.read_bytes() == io.amoeba_ppm(raster.grid, comps, raster.labels)
+
+
 def test_cli_optimal_false_verdict(tmp_path, cross_poly):
     pfile = tmp_path / "cross.json"
     pfile.write_text(io.polynomial_to_json(cross_poly))
@@ -545,3 +565,13 @@ def test_cli_window_parsing(tmp_path, p3_file):
         "wca", p3_file, "-o", str(out), "--format", "csv",
         "--window=-5,5,-5", "--res", "60", "--angles", "64",
     ]) == 3
+
+
+def test_readme_command_block_names_every_subcommand():
+    """The README's command synopsis and the parser name the same subcommands."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    assert lines and all(line.startswith("hgamoeba ") for line in lines)
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {line.split()[1] for line in lines} == set(sub.choices)

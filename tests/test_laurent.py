@@ -1,5 +1,6 @@
 """Exact Laurent polynomial arithmetic, evaluation and transformations."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,40 @@ def test_complex_power_matches_repeated_product():
         ref = ref * p
     with pytest.raises(ValueError):
         p ** -1
+
+
+def as_complex(p):
+    return {e: complex(c) for e, c in p.terms.items()}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_complex_flavour_agrees_with_the_exact_one(seed):
+    """Small integer coefficients, dyadic scales and powers of two as points
+    keep every floating product and sum exact, so the floating flavour must
+    reproduce the exact results converted to complex."""
+    rng = random.Random(seed)
+
+    def draw():
+        return LP(2, {
+            (rng.randint(-2, 2), rng.randint(-2, 2)): rng.choice([-3, -2, -1, 1, 2, 3])
+            for _ in range(rng.randint(1, 5))
+        })
+
+    for _ in range(25):
+        p, q = draw(), draw()
+        fp, fq = ComplexLaurentPolynomial(2, p.terms), ComplexLaurentPolynomial(2, q.terms)
+        assert (fp * fq).terms == as_complex(p * q)
+        k = rng.randint(0, 4)
+        assert (fp ** k).terms == as_complex(p ** k)
+        v = rng.choice([[[1, 0], [0, 1]], [[1, 1], [0, 1]], [[2, -1], [1, 1]]])
+        scale = [rng.choice([1, -2, 4]) * Fraction(1, rng.choice([1, 2, 8])) for _ in range(2)]
+        a = (rng.randint(-2, 2), rng.randint(-2, 2))
+        ell = rng.randint(1, 2)
+        floating = p.monomial_substitution(v, t=[float(c) for c in scale], a=a, ell=ell)
+        assert isinstance(floating, ComplexLaurentPolynomial)
+        assert floating.terms == as_complex(p.monomial_substitution(v, t=scale, a=a, ell=ell))
+        s = [Fraction(rng.choice([-1, 1]) * 2 ** rng.randint(-3, 3)) for _ in range(2)]
+        assert p.evaluate([float(x) for x in s]) == complex(p.evaluate_exact(s))
 
 
 def test_substitution_singular_rejected():

@@ -240,6 +240,7 @@ def reference_aberth(c):
             repulsion = (1.0 / diff).sum(axis=1)
             step = newton / (1.0 - newton * repulsion)
             step = np.where(np.isfinite(step), step, newton)
+            step = np.where(np.isfinite(newton), step, -1.0 / repulsion)
             step = np.where(np.isfinite(step), step, 0.0)
             z[idx] = zi - step
     z[idx] = np.nan
@@ -279,6 +280,30 @@ def test_kernel_matches_reference_on_p1_fiber_rows(p1_paper):
         rows = amoeba._fiber_rows(exps, np.log(np.abs(coeffs)), 1 - axis, log_mod, phases)
         assert (rows[:, 0] != 0).all() and (rows[:, -1] != 0).all()
         assert_kernel_matches_reference(rows)
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[-1, 0, 1], [4, 0, 1], [-2, 0, 0, 1]], ids=["z2-1", "z2+4", "z3-2"]
+)
+def test_iterate_on_a_critical_point_moves_off_it(coeffs, monkeypatch):
+    """One iterate starts at 0, where p'(0) = 0 makes the Newton correction
+    infinite; the Aberth step's limit -1 / S still moves it to a root."""
+    start = kernel._start
+
+    def start_on_the_critical_point(c):
+        z = start(c)
+        z[:, 0] = 0.0
+        return z
+
+    monkeypatch.setattr(kernel, "_start", start_on_the_critical_point)
+    c = np.array([coeffs], dtype=complex)
+    roots = kernel._aberth(c)[0]
+    assert np.isfinite(roots).all()
+    d = len(coeffs) - 1
+    assert max(backward_error(coeffs, z) for z in roots) <= kernel.BACKWARD_TOL * d * kernel._EPS
+    for want in np.roots(coeffs[::-1]):
+        assert np.min(np.abs(roots - want)) <= 1e-14 * abs(want)
+    assert_kernel_matches_reference(c)
 
 
 def test_kernel_roots_do_not_depend_on_the_batch():

@@ -29,7 +29,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DomainError, NeedsDeeperPointError
-from .polytope import lattice_points, newton_polytope
+from .polytope import _rank, lattice_points, newton_polytope
 from .roots import aberth_roots_batch
 
 ORDER_ANGLES = 64  # ring of fiber angles on which component_order counts roots
@@ -51,6 +51,9 @@ class LogWindow:
     angular_samples: int = 512
 
     def __post_init__(self):
+        spans = (self.x_max - self.x_min, self.y_max - self.y_min)
+        if not all(map(math.isfinite, (self.x_min, self.x_max, self.y_min, self.y_max) + spans)):
+            raise ValueError("window bounds and spans must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError("window bounds must satisfy min < max")
         if self.resolution < 16:
@@ -86,12 +89,16 @@ class ComplementComponent:
 
 
 def _term_arrays(p) -> tuple[np.ndarray, np.ndarray]:
-    exps = []
-    coeffs = []
-    for exp, c in p.sorted_terms():
-        exps.append(exp)
-        coeffs.append(complex(c))
-    return np.array(exps, dtype=float), np.array(coeffs, dtype=complex)
+    """Exponents and complex coefficients; DomainError if one overflows or is 0."""
+    terms = p.sorted_terms()
+    try:
+        coeffs = np.array([complex(c) for _, c in terms], dtype=complex)
+        finite = np.isfinite(coeffs).all() and coeffs.all()
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError("a coefficient overflows or is 0 as a complex float")
+    return np.array([e for e, _ in terms], dtype=float), coeffs
 
 
 def adaptive_window(p, resolution: int = 400, angular_samples: int = 512) -> LogWindow:
@@ -140,19 +147,19 @@ def _fiber_roots(coeff_rows: np.ndarray) -> np.ndarray:
 
 
 def _check_support(p) -> None:
-    """DomainError unless the support of p spans the plane (the amoeba has
-    complement components of more than one order)."""
-    exps = _term_arrays(p)[0]
+    """The amoeba layer's input check: DomainError unless p has two variables
+    and its support has exact integer rank 2, i.e. spans the plane."""
+    if p.n != 2:
+        raise DomainError("amoeba analysis is implemented for two variables")
+    exps = list(p.terms)
     if len(exps) < 2:
         raise DomainError("amoeba of a monomial is empty")
-    if np.linalg.matrix_rank(exps - exps[0]) < 2:
+    if _rank([tuple(a - b for a, b in zip(e, exps[0])) for e in exps]) < 2:
         raise DomainError("degenerate support: the Newton polygon is not two-dimensional")
 
 
 def rasterize_amoeba(p, w: LogWindow) -> AmoebaRaster:
     """Sampled amoeba of a bivariate (Laurent) polynomial."""
-    if p.n != 2:
-        raise DomainError("rasterization is implemented for two variables")
     _check_support(p)
 
     res = w.resolution
@@ -604,8 +611,6 @@ def optimality_report(
     its components resolved, with the certificates restoring what the
     raster lacks.
     """
-    if p.n != 2:
-        raise DomainError("optimality analysis is implemented for two variables")
     _check_support(p)
     N = newton_polytope(p)
     if raster is not None:

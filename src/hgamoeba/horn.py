@@ -21,6 +21,10 @@ from .laurent import LaurentPolynomial, require_exact
 from .polytope import (
     IntegerPolytope,
     LatticeSupport,
+    _add_row,
+    _pivot,
+    _primitive,
+    _reduce,
     lattice_points,
     zn_connected_components,
 )
@@ -64,7 +68,9 @@ class OreSatoCoefficient:
     """t^s * U(s) * prod Gamma(<A_i, s> + c_i)^{sign_i}.
 
     The rational part U(s) is a quotient of products of affine forms; general
-    periodic factors are out of scope.
+    periodic factors are out of scope.  ``value_at`` multiplies by U(s) =
+    prod L / prod M, but the Horn system reads a numerator form L as Gamma(L)
+    and a denominator form M as 1/Gamma(M + 1) (``_telescoped_factors``).
     """
 
     n: int
@@ -97,6 +103,8 @@ class OreSatoCoefficient:
         Only defined for reciprocal-only Gamma factors with integer
         arguments (reciprocal Gamma at a nonpositive integer is zero);
         the rational part and a rational exponential are multiplied in.
+        U(s) enters as a plain quotient, not in the Horn system's Gamma
+        reading: for phi = s + 1 on [0, 4] the values do not solve it.
         """
         s = tuple(int(x) for x in s)
         value = Fraction(1)
@@ -385,8 +393,8 @@ def _cut(n: int, conditions: Sequence[frozenset[Hyperplane]]) -> set[Subspace]:
     """Affine subspaces whose union is the set of gammas meeting every condition.
 
     A subspace that lies in one hyperplane of a condition is kept whole;
-    otherwise it is split into its intersections with the hyperplanes.  Rows
-    are reduced fraction-free, in exact integers.
+    otherwise it is split into its intersections with the hyperplanes.  Each
+    subspace is the exact integer echelon of its hyperplanes.
     """
     spaces: set[Subspace] = {()}
     for planes in conditions:
@@ -396,47 +404,13 @@ def _cut(n: int, conditions: Sequence[frozenset[Hyperplane]]) -> set[Subspace]:
             for h in planes:
                 v = _reduce(rows, h)
                 if any(v[:n]):
-                    pieces.append(_add_row(rows, v, n))
+                    pieces.append(_add_row(rows, v))
                 elif v[n] == 0:  # rows lie in h
                     pieces = [rows]
                     break
             cut.update(pieces)
         spaces = cut
     return spaces
-
-
-def _reduce(rows: Subspace, h: Hyperplane) -> list[int]:
-    """h with every pivot column of rows eliminated (up to a nonzero factor)."""
-    v = list(h)
-    for row in rows:
-        k = _pivot(row)
-        if v[k]:
-            f, g = row[k], v[k]
-            v = [x * f - g * y for x, y in zip(v, row)]
-    return v
-
-
-def _add_row(rows: Subspace, v: list[int], n: int) -> Subspace:
-    """Echelon form of rows plus v, where v is reduced by rows and nonzero in its first n."""
-    v = _primitive(v)
-    k = _pivot(v)
-    out = [
-        _primitive([x * v[k] - row[k] * y for x, y in zip(row, v)]) if row[k] else row
-        for row in rows
-    ]
-    out.append(v)
-    return tuple(sorted(out, key=_pivot))
-
-
-def _primitive(v: list[int]) -> Hyperplane:
-    g = gcd(*v)
-    if v[_pivot(v)] < 0:
-        g = -g
-    return tuple(x // g for x in v)
-
-
-def _pivot(row: Sequence[int]) -> int:
-    return next(k for k, x in enumerate(row) if x)
 
 
 def _integer_points(n: int, rows: Subspace, radius: int) -> Iterator[IntVec]:

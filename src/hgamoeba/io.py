@@ -72,13 +72,11 @@ def polynomial_from_json(text: str) -> LaurentPolynomial:
     try:
         data = json.loads(text)
         n = int(data["n"])
-        seen = set()
         terms = {}
         for item in data["terms"]:
             exp = tuple(int(e) for e in item["exp"])
-            if exp in seen:
+            if exp in terms:
                 raise ParseError(f"duplicate exponent {exp}")
-            seen.add(exp)
             terms[exp] = Fraction(int(item["num"]), int(item["den"]))
         return LaurentPolynomial(n, terms)
     except ParseError:
@@ -269,23 +267,22 @@ def amoeba_ppm(grid: np.ndarray, components=None, labels=None) -> bytes:
     return header + pixels.tobytes()
 
 
-def wca_ppm(grid: np.ndarray, P=None, bounds=None) -> bytes:
+def wca_ppm(grid: np.ndarray, P: IntegerPolytope, bounds) -> bytes:
     """P6 image of a WCA occupancy grid with the Newton polygon outlined."""
     res_x, res_y = grid.shape
     img = np.full((res_x, res_y, 3), 255, dtype=np.uint8)
     img[grid] = (0, 0, 0)
-    if P is not None and bounds is not None:
-        x0, x1, y0, y1 = bounds
-        verts = list(P.vertices)
-        for k in range(len(verts)):
-            a, b = verts[k], verts[(k + 1) % len(verts)]
-            steps = 4 * max(res_x, res_y)
-            ts = np.linspace(0.0, 1.0, steps)
-            xs = a[0] + (b[0] - a[0]) * ts
-            ys = a[1] + (b[1] - a[1]) * ts
-            ix = np.clip(((xs - x0) / (x1 - x0) * res_x).astype(int), 0, res_x - 1)
-            iy = np.clip(((ys - y0) / (y1 - y0) * res_y).astype(int), 0, res_y - 1)
-            img[ix, iy] = (200, 30, 30)
+    x0, x1, y0, y1 = bounds
+    verts = list(P.vertices)
+    for k in range(len(verts)):
+        a, b = verts[k], verts[(k + 1) % len(verts)]
+        steps = 4 * max(res_x, res_y)
+        ts = np.linspace(0.0, 1.0, steps)
+        xs = a[0] + (b[0] - a[0]) * ts
+        ys = a[1] + (b[1] - a[1]) * ts
+        ix = np.clip(((xs - x0) / (x1 - x0) * res_x).astype(int), 0, res_x - 1)
+        iy = np.clip(((ys - y0) / (y1 - y0) * res_y).astype(int), 0, res_y - 1)
+        img[ix, iy] = (200, 30, 30)
     pixels = np.transpose(img, (1, 0, 2))[::-1]
     header = f"P6\n{res_x} {res_y}\n255\n".encode()
     return header + pixels.tobytes()

@@ -7,18 +7,20 @@ and fractional Hadamard powers produce the floating-complex flavour
 (:class:`ComplexLaurentPolynomial`), which exact verification code refuses
 by its type (:func:`require_exact`).  The product, power, exponent shift,
 monomial substitution and evaluation are each one loop for both number
-types; only the type, its zero and its one differ.
+types; only the type, its zero and its one differ.  Whether a substitution's
+exponent matrix is singular is an exact rank (``polytope._rank``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from numbers import Rational
 from typing import Any, Iterable, Mapping
 
 from .errors import DomainError, InexactCoefficientError, InvalidTransformError
+from .polytope import _rank
 
 Exponent = tuple[int, ...]
 
@@ -223,7 +225,7 @@ class LaurentPolynomial(_LaurentTerms):
         rows = [tuple(int(e) for e in row) for row in v]
         if len(rows) != n or any(len(r) != n for r in rows):
             raise ValueError("v must be an n-by-n integer matrix")
-        if _int_det(rows) == 0:
+        if _rank(rows) < n:
             raise InvalidTransformError("singular exponent matrix")
         if t is None:
             t = (1,) * n
@@ -252,16 +254,21 @@ class LaurentPolynomial(_LaurentTerms):
         """Coefficientwise r-th power.
 
         Exact for nonnegative integer r (r = 0 gives the support indicator);
-        otherwise all coefficients must be strictly positive and the result
-        carries floating-point coefficients.
+        otherwise the coefficients must be strictly positive, r finite and
+        every c^r a finite nonzero float; the result has float coefficients.
         """
         if isinstance(r, Rational) and Fraction(r).denominator == 1 and r >= 0:
             return LaurentPolynomial(self.n, {e: c ** int(r) for e, c in self.terms.items()})
         if any(c <= 0 for c in self.terms.values()):
             raise DomainError("fractional Hadamard power needs strictly positive coefficients")
-        return ComplexLaurentPolynomial(
-            self.n, {e: complex(float(c) ** float(r)) for e, c in self.terms.items()}
-        )
+        r = float(r)
+        try:
+            powers = {e: float(c) ** r for e, c in self.terms.items()} if isfinite(r) else None
+        except (OverflowError, ZeroDivisionError):
+            powers = None
+        if powers is None or 0.0 in powers.values():
+            raise DomainError(f"Hadamard power {r} is not finite or leaves the float range")
+        return ComplexLaurentPolynomial(self.n, powers)
 
     def scaled_to_integers(self) -> "LaurentPolynomial":
         """Canonical constant multiple: integer coefficients with unit content."""
@@ -309,18 +316,3 @@ def require_exact(p) -> LaurentPolynomial:
         "operation requires a polynomial with exact rational coefficients"
     )
 
-
-def _int_det(rows: list[tuple[int, ...]]) -> int:
-    """Exact integer determinant by fraction-free cofactor expansion."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    det = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [tuple(r[k] for k in range(n) if k != j) for r in rows[1:]]
-        det += (-1) ** j * rows[0][j] * _int_det(minor)
-    return det

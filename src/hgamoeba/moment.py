@@ -95,17 +95,18 @@ def hadamard_clouds(
 ) -> Iterator[MomentImagePointCloud]:
     """The clouds of ``skeleton_approximation``, each made only when the
     iterator reaches it, so that one cloud is held at a time.  The arguments
-    are checked here, before the first cloud."""
+    and every Hadamard power are checked here, before the first cloud."""
     if any(c <= 0 for c in p.terms.values()):
         raise DomainError("Hadamard-power skeleton needs positive coefficients")
     if not r_list:
         raise ValueError("r_list must be nonempty")
-    return (_hadamard_cloud(p, r, w) for r in r_list)
+    powers = [(float(r), p.hadamard_power(r)) for r in r_list]
+    return (_hadamard_cloud(q, r, w) for r, q in powers)
 
 
-def _hadamard_cloud(p: LaurentPolynomial, r: float, w: Optional[LogWindow]) -> MomentImagePointCloud:
-    cloud = rasterize_wca(p.hadamard_power(r), w, weighted=True)
-    cloud.hadamard_order = float(r)
+def _hadamard_cloud(q, r: float, w: Optional[LogWindow]) -> MomentImagePointCloud:
+    cloud = rasterize_wca(q, w, weighted=True)
+    cloud.hadamard_order = r
     return cloud
 
 

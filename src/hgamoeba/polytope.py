@@ -2,20 +2,23 @@
 
 Facets are stored as primitive integer outer normals B with integer offsets c
 such that the polytope satisfies <B, s> + c <= 0.  Hull computation is a
-monotone chain in the plane and a brute-force normal search in higher
+monotone chain in the plane and a brute-force normal search in every other
 dimension; all polytopes arising here are small.
+
+The package's one exact integer linear-algebra kernel is here too: the
+fraction-free reduced echelon ``_echelon`` (after Bareiss, Math. Comp. 22,
+1968).  Ranks, facet normals, the singularity test of a monomial change of
+variables and the affine subspaces of Horn verification are read off it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DegeneratePolytopeError
-from .laurent import LaurentPolynomial, _int_det
 
 IntVec = tuple[int, ...]
 
@@ -79,13 +82,6 @@ class LatticeSupport:
         return sorted(self.points)
 
 
-def _primitive(vec: Sequence[int]) -> IntVec:
-    g = gcd(*(abs(v) for v in vec))
-    if g == 0:
-        raise ValueError("zero normal vector")
-    return tuple(v // g for v in vec)
-
-
 def _hull_2d(points: list[IntVec]) -> list[IntVec]:
     """Convex hull vertices in counterclockwise order (monotone chain)."""
     pts = sorted(set(points))
@@ -118,12 +114,6 @@ def facet_description(vertices: Iterable[Sequence[int]]) -> IntegerPolytope:
         raise ValueError("inconsistent point dimensions")
     pts = sorted(set(pts))
 
-    if n == 1:
-        lo, hi = min(p[0] for p in pts), max(p[0] for p in pts)
-        if lo == hi:
-            raise DegeneratePolytopeError("zero-length segment")
-        return IntegerPolytope(1, ((lo,), (hi,)), (Facet((-1,), lo), Facet((1,), -hi)))
-
     if n == 2:
         hull = _hull_2d(pts)
         if len(hull) < 3:
@@ -132,18 +122,15 @@ def facet_description(vertices: Iterable[Sequence[int]]) -> IntegerPolytope:
         for i in range(len(hull)):
             p, q = hull[i], hull[(i + 1) % len(hull)]
             # outer normal of the ccw edge p -> q
-            normal = _primitive((q[1] - p[1], p[0] - q[0]))
+            g = gcd(q[0] - p[0], q[1] - p[1])
+            normal = ((q[1] - p[1]) // g, (p[0] - q[0]) // g)
             c = -(normal[0] * p[0] + normal[1] * p[1])
             facets.append(Facet(normal, c))
         start = min(range(len(hull)), key=lambda i: hull[i])
         hull = hull[start:] + hull[:start]
         return IntegerPolytope(2, tuple(hull), tuple(facets))
 
-    return _facet_description_nd(n, pts)
-
-
-def _facet_description_nd(n: int, pts: list[IntVec]) -> IntegerPolytope:
-    """Brute-force facet search from (n-1)-point subsets; fine for small inputs."""
+    # in any other dimension, a brute-force facet search from n-point subsets
     candidates: set[Facet] = set()
     for subset in itertools.combinations(pts, n):
         base = subset[0]
@@ -151,7 +138,6 @@ def _facet_description_nd(n: int, pts: list[IntVec]) -> IntegerPolytope:
         normal = _normal_from_rows(n, mat)
         if normal is None:
             continue
-        normal = _primitive(normal)
         for sign in (1, -1):
             b = tuple(sign * v for v in normal)
             hmax = max(sum(bb * x for bb, x in zip(b, p)) for p in pts)
@@ -170,34 +156,75 @@ def _facet_description_nd(n: int, pts: list[IntVec]) -> IntegerPolytope:
     return IntegerPolytope(n, tuple(sorted(verts)), facets)
 
 
-def _normal_from_rows(n: int, rows: list[IntVec]):
-    """Integer vector orthogonal to n-1 row vectors, via signed minors."""
-    if len(rows) != n - 1:
+def _normal_from_rows(n: int, rows: list[IntVec]) -> IntVec | None:
+    """Primitive integer vector orthogonal to the rows, None unless their rank is n - 1.
+
+    It has the lcm L of the echelon's pivots at the one free column and
+    -row[free] * L / row[pivot] at each pivot column."""
+    ech = {_pivot(row): row for row in _echelon(rows)}
+    if len(ech) != n - 1:
         return None
-    normal = []
-    for k in range(n):
-        minor = [tuple(r[j] for j in range(n) if j != k) for r in rows]
-        normal.append((-1) ** k * _int_det(minor))
-    if all(v == 0 for v in normal):
-        return None
-    return tuple(normal)
+    free = next(k for k in range(n) if k not in ech)
+    scale = lcm(*(row[k] for k, row in ech.items()))
+    return _primitive(
+        [scale if k == free else -ech[k][free] * (scale // ech[k][k]) for k in range(n)]
+    )
 
 
-def _rank(rows: list[IntVec]) -> int:
-    mat = [[Fraction(x) for x in r] for r in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col] != 0:
-                factor = mat[i][col] / mat[rank][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+# -- the exact integer echelon ---------------------------------------------
+
+def _echelon(rows: Iterable[Sequence[int]]) -> tuple[IntVec, ...]:
+    """Fraction-free reduced echelon form of integer rows.
+
+    One row per unit of rank, sorted by pivot (first nonzero) column; every
+    row is primitive with a positive pivot, and each pivot column is zero in
+    the other rows.  Entries stay integers throughout.
+    """
+    out: tuple[IntVec, ...] = ()
+    for row in rows:
+        v = _reduce(out, row)
+        if any(v):
+            out = _add_row(out, v)
+    return out
+
+
+def _rank(rows: Iterable[Sequence[int]]) -> int:
+    return len(_echelon(rows))
+
+
+def _reduce(rows: tuple[IntVec, ...], h: Sequence[int]) -> list[int]:
+    """h with every pivot column of rows eliminated (up to a nonzero factor)."""
+    v = list(h)
+    for row in rows:
+        k = _pivot(row)
+        if v[k]:
+            f, g = row[k], v[k]
+            v = [x * f - g * y for x, y in zip(v, row)]
+    return v
+
+
+def _add_row(rows: tuple[IntVec, ...], v: list[int]) -> tuple[IntVec, ...]:
+    """Echelon form of rows plus v, where v is reduced by rows and nonzero."""
+    v = _primitive(v)
+    k = _pivot(v)
+    out = [
+        _primitive([x * v[k] - row[k] * y for x, y in zip(row, v)]) if row[k] else row
+        for row in rows
+    ]
+    out.append(v)
+    return tuple(sorted(out, key=_pivot))
+
+
+def _primitive(v: Sequence[int]) -> IntVec:
+    """A nonzero integer vector over its content, its first nonzero entry positive."""
+    g = gcd(*v)
+    if v[_pivot(v)] < 0:
+        g = -g
+    return tuple(x // g for x in v)
+
+
+def _pivot(row: Sequence[int]) -> int:
+    return next(k for k, x in enumerate(row) if x)
 
 
 def lattice_points(P: IntegerPolytope) -> LatticeSupport:
@@ -248,7 +275,7 @@ def zn_connected_components(S: LatticeSupport) -> list[LatticeSupport]:
     return components
 
 
-def newton_polytope(p: LaurentPolynomial) -> IntegerPolytope:
+def newton_polytope(p) -> IntegerPolytope:
     """Convex hull of the support of a nonzero (exact or complex) polynomial."""
     if not p.terms:
         raise DegeneratePolytopeError("zero polynomial has empty support")

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -93,6 +94,21 @@ def test_window_validation():
         LogWindow(-1, 1, -1, 1, resolution=8)
 
 
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        (-math.inf, math.inf, -5, 5),
+        (-5, 5, -5, math.inf),
+        (math.nan, 5, -5, 5),
+        (-1e308, 1e308, -5, 5),  # finite bounds, but the span overflows
+        (-5, 5, -1e308, 1e308),
+    ],
+)
+def test_window_bounds_and_spans_must_be_finite(bounds):
+    with pytest.raises(ValueError, match="finite"):
+        LogWindow(*bounds)
+
+
 # -- rasterization --------------------------------------------------------
 
 
@@ -107,6 +123,25 @@ def test_raster_shapes_and_domain_errors():
     with pytest.raises(DomainError):
         # one-dimensional support
         rasterize_amoeba(LP(2, {(0, 0): 1, (1, 1): 1, (2, 2): 1}), small_window())
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        LP(2, {(0, 0): 1, (1, 0): 10 ** 400, (0, 1): 3}),
+        LP(2, {(0, 0): 1, (1, 0): Fraction(1, 10 ** 400), (0, 1): 3}),
+        ComplexLaurentPolynomial(2, {(0, 0): 1, (1, 0): complex(math.inf, 0), (0, 1): 3}),
+    ],
+    ids=["overflow", "underflow", "infinite"],
+)
+def test_coefficients_outside_the_float_range_are_domain_errors(p):
+    for call in (
+        lambda: adaptive_window(p),
+        lambda: rasterize_amoeba(p, small_window()),
+        lambda: optimality_report(p, small_window()),
+    ):
+        with pytest.raises(DomainError, match="coefficient"):
+            call()
 
 
 def test_line_amoeba_three_components():

@@ -1,0 +1,107 @@
+"""The exact integer echelon and what is read off it, against sympy as an
+exact oracle, and the import graph the kernel's home sets up."""
+
+import random
+import subprocess
+import sys
+from math import gcd
+from pathlib import Path
+
+import pytest
+
+from hgamoeba import InvalidTransformError, LaurentPolynomial
+from hgamoeba.polytope import _echelon, _normal_from_rows, _pivot, _rank
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def seeded_matrix(rng, m, n):
+    """An m-by-n integer matrix; for a third of them, with m >= 2, one row is
+    forced to be an integer combination of the others."""
+    rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+    if m >= 2 and rng.random() < 1 / 3:
+        i = rng.randrange(m)
+        others = [k for k in range(m) if k != i]
+        j, k = rng.choice(others), rng.choice(others)
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        rows[i] = [a * x + b * y for x, y in zip(rows[j], rows[k])]
+    return [tuple(r) for r in rows]
+
+
+def test_rank_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1968)
+    for _ in range(150):
+        rows = seeded_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        assert _rank(rows) == sympy.Matrix(rows).rank()
+
+
+def test_echelon_is_reduced_and_primitive_with_the_rows_span():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(22)
+    for _ in range(60):
+        rows = seeded_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
+        ech = _echelon(rows)
+        pivots = [_pivot(r) for r in ech]
+        assert pivots == sorted(set(pivots))
+        for i, (r, k) in enumerate(zip(ech, pivots)):
+            assert r[k] > 0 and gcd(*r) == 1
+            assert all(other[k] == 0 for other in ech[:i] + ech[i + 1:])
+        assert sympy.Matrix(list(ech) + rows).rank() == len(ech)
+
+
+def test_normal_from_rows_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    nones = 0
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        rows = seeded_matrix(rng, n - 1, n)
+        normal = _normal_from_rows(n, rows)
+        if sympy.Matrix(rows).rank() < n - 1:
+            assert normal is None
+            nones += 1
+            continue
+        assert normal is not None and len(normal) == n
+        assert gcd(*normal) == 1
+        assert all(sum(a * b for a, b in zip(normal, r)) == 0 for r in rows)
+    assert nones > 10
+
+
+def test_monomial_substitution_singular_exactly_when_det_is_zero():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    singular = 0
+    for _ in range(120):
+        n = rng.randint(1, 6)
+        v = seeded_matrix(rng, n, n)
+        p = LaurentPolynomial(n, {(1,) * n: 1, (0,) * n: 2})
+        if sympy.Matrix(v).det() == 0:
+            singular += 1
+            with pytest.raises(InvalidTransformError):
+                p.monomial_substitution(v)
+        else:
+            assert p.monomial_substitution(v).n == n
+    assert 10 < singular < 110
+
+
+def test_every_submodule_imports_first():
+    """Each hgamoeba module imports with no other package module loaded, so
+    the import graph between them has no cycle.  The package's own
+    __init__ is bypassed, since it would import the modules in its order."""
+    code = (
+        "import importlib, pkgutil, sys, types\n"
+        f"path = [{str(SRC / 'hgamoeba')!r}]\n"
+        "names = sorted(m.name for m in pkgutil.iter_modules(path))\n"
+        "for name in names:\n"
+        "    for key in [k for k in sys.modules if k.split('.')[0] == 'hgamoeba']:\n"
+        "        del sys.modules[key]\n"
+        "    package = types.ModuleType('hgamoeba')\n"
+        "    package.__path__ = path\n"
+        "    sys.modules['hgamoeba'] = package\n"
+        "    importlib.import_module('hgamoeba.' + name)\n"
+        "print(' '.join(names))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert {"laurent", "polytope", "horn", "amoeba"} <= set(done.stdout.split())

@@ -473,6 +473,53 @@ def test_cli_hadamard_rejects_bad_input_before_touching_the_output(tmp_path, p3_
     assert sorted(os.listdir(tmp_path)) == ["h.csv", "p3.json", "signed.json"]
 
 
+@pytest.mark.parametrize("r", ["500", "nan", "inf", "1e6", "1,500"])
+def test_cli_hadamard_power_outside_the_float_range_is_a_domain_error(tmp_path, capsys, r):
+    """0.2^500 underflows, 2^1e6 overflows and a non-finite r has no cloud:
+    exit 2 with no CSV, instead of the cloud of another polynomial, an
+    empty cloud or a traceback."""
+    pfile = tmp_path / "p.json"
+    pfile.write_text(io.polynomial_to_json(
+        LP(2, {(0, 0): 1, (1, 0): 2, (0, 1): 3, (1, 1): Fraction(1, 5)})
+    ))
+    out = tmp_path / "h.csv"
+    assert main(["hadamard", str(pfile), "--r", r, "-o", str(out), "--res", "24", "--angles", "64"]) == 2
+    assert "float range" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["p.json"]
+
+
+@pytest.mark.parametrize("coeff", [10 ** 400, Fraction(1, 10 ** 400)], ids=["huge", "tiny"])
+@pytest.mark.parametrize(
+    "argv",
+    [["optimal", "--report", "r.json"], ["wca", "-o", "w.ppm"], ["hadamard", "--r", "1", "-o", "h.csv"]],
+    ids=["optimal", "wca", "hadamard"],
+)
+@pytest.mark.parametrize("window", [[], ["--window=-5,5,-5,5"]], ids=["adaptive", "given"])
+def test_cli_coefficient_outside_the_float_range_is_a_domain_error(tmp_path, capsys, coeff, argv, window):
+    """Not a traceback (exit 1, which optimal uses for "not optimal") and
+    not a parse error: exit 2 and no output file."""
+    pfile = tmp_path / "p.json"
+    pfile.write_text(io.polynomial_to_json(LP(2, {(0, 0): 1, (1, 0): coeff, (0, 1): 3})))
+    cmd, *rest = argv
+    rest = [str(tmp_path / v) if v.endswith((".json", ".ppm", ".csv")) else v for v in rest]
+    assert main([cmd, str(pfile), *rest, *window, "--res", "24", "--angles", "64"]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["p.json"]
+
+
+@pytest.mark.parametrize("window", ["-inf,inf,-5,5", "-1e308,1e308,-5,5", "-5,5,nan,5"])
+def test_cli_non_finite_window_is_a_parse_error(tmp_path, window):
+    """An infinite window, or one whose span overflows, would write NaN or
+    Infinity into the JSON report: exit 3 and no report."""
+    pfile = tmp_path / "p.json"
+    pfile.write_text(io.polynomial_to_json(LP(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})))
+    report = tmp_path / "r.json"
+    argv = ["optimal", str(pfile), "--report", str(report), f"--window={window}",
+            "--res", "32", "--angles", "64"]
+    assert main(argv) == 3
+    assert not report.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

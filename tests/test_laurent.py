@@ -233,6 +233,25 @@ def test_hadamard_fractional_needs_positive_coefficients():
         LP(2, {(1, 0): -1}).hadamard_power(0.5)
 
 
+@pytest.mark.parametrize(
+    "coeff, r",
+    [
+        (Fraction(1, 5), 500.0),  # 0.2^500 underflows to 0: the term would vanish
+        (2, 1e6),  # 2^1e6 overflows
+        (2, float("nan")),
+        (2, float("inf")),
+        (2, float("-inf")),
+        (10 ** 400, 0.5),  # the coefficient itself is no float
+        (Fraction(1, 10 ** 400), 0.5),
+        (Fraction(1, 10 ** 400), -0.5),
+    ],
+)
+def test_hadamard_floating_power_outside_the_float_range_is_a_domain_error(coeff, r):
+    p = LP(2, {(0, 0): 1, (1, 0): 2, (0, 1): 3, (1, 1): coeff})
+    with pytest.raises(DomainError, match="float range"):
+        p.hadamard_power(r)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.dictionaries(

@@ -2,9 +2,9 @@
 
 The central constructions: the reciprocal-Gamma coefficient attached to an
 integer polytope via its facet inequalities, the hypergeometric polynomial it
-generates, derivation of the operator pairs (P_j, Q_j) from Gamma-quotient
-telescoping, exact symbolic application of the operators, and verification
-of solutions over the operators' affine factors.
+generates, derivation of the operator pairs (P_j, Q_j) by telescoping the
+quotients phi(s + e_j)/phi(s), exact symbolic application of the operators,
+and verification of solutions over the operators' affine factors.
 """
 
 from __future__ import annotations
@@ -34,43 +34,38 @@ AffineFactor = tuple[IntVec, Fraction]  # (A, c): the form <A, theta> + c
 
 
 @dataclass(frozen=True)
-class GammaFactor:
-    """A factor Gamma(<A, s> + c)^sign of an Ore-Sato coefficient."""
+class LinearForm:
+    """An affine form <A, s> + c: a factor of the rational part, or a Gamma argument."""
 
     A: IntVec
     c: Fraction
-    sign: int  # +1 numerator Gamma, -1 reciprocal Gamma
 
     def __post_init__(self):
         object.__setattr__(self, "A", tuple(int(a) for a in self.A))
         object.__setattr__(self, "c", Fraction(self.c))
-        if self.sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
 
     def argument(self, s: Sequence) -> Fraction:
         return sum((Fraction(a) * Fraction(x) for a, x in zip(self.A, s)), self.c)
 
 
 @dataclass(frozen=True)
-class LinearForm:
-    """An affine form <A, s> + c used in the rational part of a coefficient."""
+class GammaFactor(LinearForm):
+    """A factor Gamma(<A, s> + c)^sign of an Ore-Sato coefficient."""
 
-    A: IntVec
-    c: Fraction
+    sign: int  # +1 numerator Gamma, -1 reciprocal Gamma
 
     def __post_init__(self):
-        object.__setattr__(self, "A", tuple(int(a) for a in self.A))
-        object.__setattr__(self, "c", Fraction(self.c))
+        super().__post_init__()
+        if self.sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
 
 
 @dataclass(frozen=True)
 class OreSatoCoefficient:
     """t^s * U(s) * prod Gamma(<A_i, s> + c_i)^{sign_i}.
 
-    The rational part U(s) is a quotient of products of affine forms; general
-    periodic factors are out of scope.  ``value_at`` multiplies by U(s) =
-    prod L / prod M, but the Horn system reads a numerator form L as Gamma(L)
-    and a denominator form M as 1/Gamma(M + 1) (``_telescoped_factors``).
+    The rational part U(s) = prod L / prod M is a quotient of products of
+    affine forms; general periodic factors are out of scope.
     """
 
     n: int
@@ -100,11 +95,10 @@ class OreSatoCoefficient:
     def value_at(self, s: Sequence[int]) -> Fraction:
         """Exact value at an integer point.
 
-        Only defined for reciprocal-only Gamma factors with integer
-        arguments (reciprocal Gamma at a nonpositive integer is zero);
-        the rational part and a rational exponential are multiplied in.
-        U(s) enters as a plain quotient, not in the Horn system's Gamma
-        reading: for phi = s + 1 on [0, 4] the values do not solve it.
+        Every Gamma argument must be an integer.  A reciprocal Gamma at a
+        nonpositive integer is zero; a numerator Gamma there, like a zero
+        of U's denominator, is a pole and raises DomainError.  The rational
+        part and a rational exponential are multiplied in.
         """
         s = tuple(int(x) for x in s)
         value = Fraction(1)
@@ -122,9 +116,9 @@ class OreSatoCoefficient:
                     raise DomainError("numerator Gamma pole; reflect to reciprocal form first")
                 value *= factorial(arg - 1)
         for form in self.rational_num:
-            value *= sum((Fraction(a * x) for a, x in zip(form.A, s)), form.c)
+            value *= form.argument(s)
         for form in self.rational_den:
-            den = sum((Fraction(a * x) for a, x in zip(form.A, s)), form.c)
+            den = form.argument(s)
             if den == 0:
                 raise DomainError("rational part has a pole at this point")
             value /= den
@@ -229,42 +223,43 @@ def _telescoped_factors(
 ) -> tuple[tuple[tuple[AffineFactor, ...], tuple[AffineFactor, ...]], ...]:
     """The affine factors (A, c), meaning <A, theta> + c, of each pair (P_j, Q_j).
 
-    For each factor Gamma(<A,s>+c)^sigma and direction j with d = A_j, the
-    quotient Gamma(<A,s>+d+c)/Gamma(<A,s>+c) contributes a telescoping
-    product of |d| affine factors to P_j or to Q_j (written in the shifted
-    variable so that the quotient reads P_j(s)/Q_j(s+e_j)).  Affine factors
-    of the rational part telescope the same way, a numerator form L acting
-    as Gamma(L) and a denominator form M as 1/Gamma(M+1).  The exponential
-    part is not a factor: it scales P_j by a constant.
+    A factor F(L)^sigma of phi, L = <A, s> + c, contributes the quotient
+    F(L + d)/F(L) in direction j, d = A_j.  For a Gamma factor that is the
+    numerator forms L + l, l < d, over the denominator forms L + d + l,
+    l < -d.  For a form of the rational part F is the identity, sigma is +1
+    in U's numerator and -1 in its denominator, and the quotient is L + d
+    over L when d != 0.  sigma = -1 swaps numerator and denominator.
+    Numerator forms go to P_j, denominator forms to Q_j written in the
+    shifted variable (c - d), so that the quotient reads P_j(s)/Q_j(s+e_j).
+    The exponential part is not a factor: it scales P_j by a constant.
 
     Fewer than n factors and forms give no holonomic system: DomainError.
     """
-    if len(phi.factors) + len(phi.rational_num) + len(phi.rational_den) < phi.n:
+    forms = [(f, f.sign) for f in phi.factors]
+    forms += [(f, 1) for f in phi.rational_num] + [(f, -1) for f in phi.rational_den]
+    if len(forms) < phi.n:
         raise DomainError("need at least n factors for a holonomic Horn system")
-    effective = list(phi.factors)
-    effective += [GammaFactor(f.A, f.c, 1) for f in phi.rational_num]
-    effective += [GammaFactor(f.A, f.c + 1, -1) for f in phi.rational_den]
-
     out = []
     for j in range(phi.n):
         P: list[AffineFactor] = []
         Q: list[AffineFactor] = []
-        for f in effective:
+        for f, sign in forms:
             d = f.A[j]
-            if f.sign == 1 and d > 0:
-                P += [(f.A, f.c + ell) for ell in range(d)]
-            elif f.sign == 1 and d < 0:
-                Q += [(f.A, f.c + ell) for ell in range(-d)]
-            elif f.sign == -1 and d > 0:
-                Q += [(f.A, f.c - d + ell) for ell in range(d)]
-            elif f.sign == -1 and d < 0:
-                P += [(f.A, f.c + d + ell) for ell in range(-d)]
+            if isinstance(f, GammaFactor):
+                num = [f.c + ell for ell in range(d)]
+                den = [f.c + d + ell for ell in range(-d)]
+            else:
+                num, den = ([f.c + d], [f.c]) if d else ([], [])
+            if sign == -1:
+                num, den = den, num
+            P += [(f.A, c) for c in num]
+            Q += [(f.A, c - d) for c in den]
         out.append((tuple(P), tuple(Q)))
     return tuple(out)
 
 
 def horn_system(phi: OreSatoCoefficient) -> HornSystem:
-    """Operator pairs (P_j, Q_j) from Gamma-quotient telescoping.
+    """Operator pairs (P_j, Q_j) from telescoping phi(s + e_j)/phi(s).
 
     Each P_j and Q_j is the expanded product of the affine factors listed by
     :func:`_telescoped_factors`, P_j times the exponential part t_j if
@@ -473,13 +468,11 @@ def _product(forms, s: IntVec, gamma: IntVec) -> int:
 
 
 def annihilator_for_support(S: LatticeSupport) -> OreSatoCoefficient:
-    """Rational-part-only coefficient whose Horn system kills anything supported in S."""
+    """prod over alpha in S of Gamma(|s| - |alpha|) / prod_j Gamma(s_j - alpha_j + 1),
+    a coefficient whose Horn system kills anything supported in S."""
     pts = S.sorted_points()
-    num = [
-        LinearForm((1,) * S.n, Fraction(-sum(alpha))) for alpha in pts
-    ]
-    den = []
+    factors = [GammaFactor((1,) * S.n, -sum(alpha), 1) for alpha in pts]
     for j in range(S.n):
         unit = tuple(1 if k == j else 0 for k in range(S.n))
-        den += [LinearForm(unit, Fraction(-alpha[j])) for alpha in pts]
-    return OreSatoCoefficient(S.n, (), None, tuple(num), tuple(den))
+        factors += [GammaFactor(unit, 1 - alpha[j], -1) for alpha in pts]
+    return OreSatoCoefficient(S.n, tuple(factors))

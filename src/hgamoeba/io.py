@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .horn import GammaFactor, HornSystem, LinearForm, OreSatoCoefficient
 from .laurent import LaurentPolynomial
 from .polytope import IntegerPolytope, facet_description
@@ -107,6 +107,14 @@ def _rational_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _forms_to_json(forms) -> list[dict]:
+    return [{"A": list(f.A), "c": _rational_str(f.c)} for f in forms]
+
+
+def _forms_from_json(items) -> tuple[LinearForm, ...]:
+    return tuple(LinearForm(tuple(int(a) for a in f["A"]), Fraction(f["c"])) for f in items)
+
+
 def oresato_to_json(phi: OreSatoCoefficient) -> str:
     data = {
         "n": phi.n,
@@ -114,12 +122,8 @@ def oresato_to_json(phi: OreSatoCoefficient) -> str:
             {"A": list(f.A), "c": _rational_str(f.c), "sign": f.sign}
             for f in phi.factors
         ],
-        "rational_num": [
-            {"A": list(f.A), "c": _rational_str(f.c)} for f in phi.rational_num
-        ],
-        "rational_den": [
-            {"A": list(f.A), "c": _rational_str(f.c)} for f in phi.rational_den
-        ],
+        "rational_num": _forms_to_json(phi.rational_num),
+        "rational_den": _forms_to_json(phi.rational_den),
     }
     if phi.exponential is not None:
         data["exponential"] = [_rational_str(t) for t in phi.exponential]
@@ -134,18 +138,14 @@ def oresato_from_json(text: str) -> OreSatoCoefficient:
             GammaFactor(tuple(int(a) for a in f["A"]), Fraction(f["c"]), int(f["sign"]))
             for f in data.get("factors", [])
         )
-        num = tuple(
-            LinearForm(tuple(int(a) for a in f["A"]), Fraction(f["c"]))
-            for f in data.get("rational_num", [])
-        )
-        den = tuple(
-            LinearForm(tuple(int(a) for a in f["A"]), Fraction(f["c"]))
-            for f in data.get("rational_den", [])
-        )
+        num = _forms_from_json(data.get("rational_num", []))
+        den = _forms_from_json(data.get("rational_den", []))
         expo = data.get("exponential")
         if expo is not None:
             expo = tuple(Fraction(v) for v in expo)
         return OreSatoCoefficient(n, factors, expo, num, den)
+    except DomainError:
+        raise
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise ParseError(f"malformed Ore-Sato JSON: {exc}") from exc
 

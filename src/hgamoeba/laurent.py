@@ -13,6 +13,7 @@ exponent matrix is singular is an exact rank (``polytope._rank``).
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isfinite, lcm
@@ -219,7 +220,8 @@ class LaurentPolynomial(_LaurentTerms):
 
         ``v`` is an integer n-by-n matrix given as rows; ``t`` a nonzero scale
         vector (rationals keep the result exact, anything else yields a
-        :class:`ComplexLaurentPolynomial`); ``a`` an integer shift vector.
+        :class:`ComplexLaurentPolynomial` of finite nonzero coefficients, or
+        DomainError); ``a`` an integer shift vector.
         """
         n = self.n
         rows = [tuple(int(e) for e in row) for row in v]
@@ -242,13 +244,22 @@ class LaurentPolynomial(_LaurentTerms):
         else:
             num, flavour = complex, ComplexLaurentPolynomial
         terms = {}
-        for exp, c in self.terms.items():
-            new_exp = tuple(sum(e * row[k] for e, row in zip(exp, rows)) for k in range(n))
-            scale = num(1)
-            for val, e in zip(t, exp):
-                scale *= num(val) ** e
-            terms[new_exp] = terms.get(new_exp, num(0)) + num(c) * scale
-        return (flavour(n, terms) ** ell).shift(a)
+        try:
+            for exp, c in self.terms.items():
+                new_exp = tuple(sum(e * row[k] for e, row in zip(exp, rows)) for k in range(n))
+                scale = num(1)
+                for val, e in zip(t, exp):
+                    scale *= num(val) ** e
+                # v is injective on exponents, so no two terms meet and none cancels
+                terms[new_exp] = num(c) * scale
+            q = flavour(n, terms) ** ell
+        except (OverflowError, ZeroDivisionError):  # a float power out of range
+            q = None
+        if num is complex and (q is None or not all(
+            c and cmath.isfinite(c) for c in (*terms.values(), *q.terms.values())
+        )):
+            raise DomainError("a scaled coefficient is not finite or leaves the float range")
+        return q.shift(a)
 
     def hadamard_power(self, r):
         """Coefficientwise r-th power.

@@ -101,13 +101,7 @@ def hadamard_clouds(
     if not r_list:
         raise ValueError("r_list must be nonempty")
     powers = [(float(r), p.hadamard_power(r)) for r in r_list]
-    return (_hadamard_cloud(q, r, w) for r, q in powers)
-
-
-def _hadamard_cloud(q, r: float, w: Optional[LogWindow]) -> MomentImagePointCloud:
-    cloud = rasterize_wca(q, w, weighted=True)
-    cloud.hadamard_order = r
-    return cloud
+    return (MomentImagePointCloud(rasterize_wca(q, w).points, r) for r, q in powers)
 
 
 def wca_occupancy(

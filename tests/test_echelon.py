@@ -88,7 +88,11 @@ def test_monomial_substitution_singular_exactly_when_det_is_zero():
 def test_every_submodule_imports_first():
     """Each hgamoeba module imports with no other package module loaded, so
     the import graph between them has no cycle.  The package's own
-    __init__ is bypassed, since it would import the modules in its order."""
+    __init__ is bypassed, since it would import the modules in its order.
+    With every module imported, none of the test-only oracles (sympy,
+    mpmath, hypothesis) is loaded, nor orjson or scipy.optimize, which are
+    imported where they are used so that no command pays for them at
+    start-up."""
     code = (
         "import importlib, pkgutil, sys, types\n"
         f"path = [{str(SRC / 'hgamoeba')!r}]\n"
@@ -100,6 +104,8 @@ def test_every_submodule_imports_first():
         "    package.__path__ = path\n"
         "    sys.modules['hgamoeba'] = package\n"
         "    importlib.import_module('hgamoeba.' + name)\n"
+        "lazy = {'sympy', 'mpmath', 'hypothesis', 'orjson', 'scipy.optimize'}\n"
+        "assert not lazy & set(sys.modules), sorted(lazy & set(sys.modules))\n"
         "print(' '.join(names))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -284,6 +284,59 @@ def test_reciprocal_ratio_consistency_on_grid(phi0):
                 )
 
 
+def _seeded_coefficient(rng, n):
+    """Gamma factors of both signs, rational numerator and denominator forms
+    and, for half of them, an exponential; integer constants, so that
+    value_at is defined wherever no pole is hit."""
+    def form():
+        return tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-3, 3)
+
+    factors = [GammaFactor(*form(), rng.choice((1, -1))) for _ in range(rng.randint(1, 2))]
+    num = [LinearForm(*form()) for _ in range(rng.randint(n - 1, 2))]
+    den = [LinearForm(*form()) for _ in range(rng.randint(0, 2))]
+    t = [Fraction(rng.choice((-3, -1, 2)), rng.choice((1, 5))) for _ in range(n)]
+    return OreSatoCoefficient(n, factors, t if rng.random() < 0.5 else None, num, den)
+
+
+def test_every_factor_telescopes_as_value_at_reads_it():
+    """phi(s) P_j(s) = phi(s+e_j) Q_j(s+e_j) at every integer point where
+    value_at is defined at both, for Gamma factors and rational parts alike."""
+    rng = random.Random(21)
+    checks = nonzero = 0
+    for _ in range(100):
+        n = rng.choice((1, 2))
+        phi = _seeded_coefficient(rng, n)
+        H = horn_system(phi)
+        values = {}
+        for s in itertools.product(range(-3, 5), repeat=n):
+            try:
+                values[s] = phi.value_at(s)
+            except DomainError:  # a pole of a numerator Gamma or of U
+                pass
+        for s, value in values.items():
+            for j, (P, Q) in enumerate(H.pairs):
+                up = s[:j] + (s[j] + 1,) + s[j + 1:]
+                if up in values:
+                    lhs = value * P.evaluate_exact(s)
+                    assert lhs == values[up] * Q.evaluate_exact(up), (phi, s, j)
+                    checks += 1
+                    nonzero += lhs != 0
+    assert checks > 3000 and nonzero > 1000
+
+
+def test_rational_part_coefficient_solves_its_own_system():
+    """(s + 1) / (Gamma(s + 1) Gamma(5 - s)) is supported on [0, 4]."""
+    phi = OreSatoCoefficient(
+        1,
+        (GammaFactor((1,), 1, -1), GammaFactor((-1,), 5, -1)),
+        rational_num=(LinearForm((1,), 1),),
+    )
+    p = polynomial_from_coefficient(phi, (0,), (4,))
+    assert len(p.terms) == 5
+    assert is_horn_solution(p, phi, up_to_monomial=False)
+    assert not is_horn_solution(p + LP(1, {(2,): 1}), phi)
+
+
 # -- the shift search against a brute-force scan ----------------------------
 
 

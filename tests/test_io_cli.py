@@ -21,6 +21,7 @@ from hgamoeba import (
     horn_system,
     hypergeometric_polynomial,
     io,
+    polynomial_from_coefficient,
     psi_from_polytope,
 )
 from hgamoeba.cli import build_parser, main
@@ -334,6 +335,29 @@ def test_cli_too_few_factors_is_a_domain_error(tmp_path, p3_file):
     phi = _oresato_file(tmp_path, 2, [[1, 1]])
     assert main(["horn", phi, "-o", str(tmp_path / "h.json")]) == 2
     assert main(["verify", p3_file, phi]) == 2
+
+
+def test_cli_zero_exponential_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "phi.json"
+    path.write_text(json.dumps({
+        "n": 1, "factors": [{"A": [1], "c": "1", "sign": -1}], "exponential": ["0"],
+    }))
+    assert main(["horn", str(path), "-o", str(tmp_path / "h.json")]) == 2
+    assert "must be nonzero" in capsys.readouterr().err
+    assert not (tmp_path / "h.json").exists()
+
+
+def test_cli_verify_reads_the_rational_part_as_value_at(tmp_path):
+    """The series of (s + 1) / (Gamma(s + 1) Gamma(5 - s)) solves its Horn system."""
+    phi = OreSatoCoefficient(
+        1,
+        (GammaFactor((1,), 1, -1), GammaFactor((-1,), 5, -1)),
+        rational_num=(LinearForm((1,), 1),),
+    )
+    pfile, phifile = tmp_path / "p.json", tmp_path / "phi.json"
+    pfile.write_text(io.polynomial_to_json(polynomial_from_coefficient(phi, (0,), (4,))))
+    phifile.write_text(io.oresato_to_json(phi))
+    assert main(["verify", str(pfile), str(phifile)]) == 0
 
 
 def test_cli_amoeba_and_optimal(tmp_path, capsys):

@@ -165,6 +165,20 @@ def test_substitution_zero_scale_rejected():
         x_plus_y().monomial_substitution([[1, 0], [0, 1]], t=(0, 1))
 
 
+@pytest.mark.parametrize("terms, t, ell", [
+    ({(100, 0): 1, (0, 1): 1}, (1e10, 1), 1),  # the power overflows to NaN
+    ({(100, 0): 1, (0, 1): 1}, (1e-10, 1), 1),  # the power underflows to 0
+    ({(-100, 0): 1, (0, 1): 1}, (1e-10, 1), 1),  # 1 / (a power that underflows)
+    ({(1, 0): 1, (0, 1): 1}, (float("nan"), 1), 1),
+    ({(100, 0): 1, (0, 1): 1}, (float("inf"), 1), 1),
+    ({(1, 0): 1e300, (0, 1): 1}, (1e200, 1), 1),  # the product overflows
+    ({(1, 0): 1e200, (0, 1): 1}, (1.0, 1), 2),  # the ell-th power overflows
+])
+def test_substitution_float_scale_out_of_range_rejected(terms, t, ell):
+    with pytest.raises(DomainError):
+        LP(2, terms).monomial_substitution([[1, 0], [0, 1]], t=t, ell=ell)
+
+
 def test_substitution_irrational_scale_goes_inexact():
     q = x_plus_y().monomial_substitution([[1, 0], [0, 1]], t=(2.0 ** 0.5, 1))
     assert isinstance(q, ComplexLaurentPolynomial)

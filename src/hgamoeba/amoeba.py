@@ -26,7 +26,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DomainError, NeedsDeeperPointError
 from .polytope import _rank, lattice_points, newton_polytope
@@ -75,6 +74,8 @@ class AmoebaRaster:
     @cached_property
     def labels(self) -> np.ndarray:
         """4-connected labels of the non-amoeba pixels (0 = amoeba)."""
+        from scipy import ndimage
+
         return ndimage.label(~self.grid, structure=FOUR_CONNECTED)[0]
 
 
@@ -170,6 +171,8 @@ def rasterize_amoeba(p, w: LogWindow) -> AmoebaRaster:
         iv = np.floor((vals - v_min) / ((v_max - v_min) / res)).astype(int)
         iv = iv[(iv >= 0) & (iv < res)]
         (grid if axis == 0 else grid.T)[i, iv] = True
+    from scipy import ndimage
+
     grid = ndimage.binary_dilation(grid, iterations=DILATION_PIXELS)
     return AmoebaRaster(w, grid)
 
@@ -274,6 +277,8 @@ def complement_components(r: AmoebaRaster) -> list[ComplementComponent]:
     the amoeba, deepest first and ties in raster order; the representative
     is the centre of the first.
     """
+    from scipy import ndimage
+
     labels = r.labels.ravel()
     depth = ndimage.distance_transform_edt(~r.grid).ravel()
     counts = np.bincount(labels)
@@ -335,24 +340,53 @@ def _dominance_point(exps, logs, alpha, box):
     """Log-point maximizing the margin of the weighted monomial alpha.
 
     Solves the linear program max t subject to the monomial alpha
-    outweighing every other term by at least t in log scale, within the
-    box of (low, high) bounds per coordinate.  Returns xi, or None unless
-    the margin is positive (alpha carrying no monomial has none).
-    """
-    from scipy.optimize import linprog
+    outweighing every other term by at least t in log scale,
+    <e - alpha, xi> + t <= log|c_alpha| - log|c_e|, within the box of
+    (low, high) bounds per coordinate.  Returns the mean of the vertices of
+    the optimal face, or None unless the margin there is positive (alpha
+    carrying no monomial has none).
 
-    at = (exps == np.asarray(alpha, dtype=float)).all(axis=1)
-    if not at.any():
+    Each vertex of the LP is cut out by n + 1 of its rows.  An active set of
+    rows starts as the box and the n + 2 exponents nearest alpha; all its
+    vertices are solved in one stacked solve, and the rows its optimal
+    vertices violate join it.  Rows only join, so there are at most as many
+    rounds as terms; once no optimal vertex violates a row, the active
+    set's optimal face is the LP's.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    at = (exps == alpha).all(axis=1)
+    if not at.any() or at.all():
         return None
-    A = np.column_stack([exps[~at] - exps[at], np.ones(len(logs) - 1)])
-    b = logs[at] - logs[~at]
-    res = linprog(
-        [0.0] * len(box) + [-1.0], A_ub=A, b_ub=b,
-        bounds=list(box) + [(None, None)], method="highs",
-    )
-    if res.status != 0 or -res.fun <= 0.0:
+    n = len(box)
+    lo, hi = np.array(box, dtype=float).T
+    d = exps[~at] - alpha
+    terms = len(d)
+    # rows A (xi, t) <= b: the terms, then xi_j <= hi_j and -xi_j <= -lo_j
+    eye, zero = np.eye(n), np.zeros((n, 1))
+    A = np.block([[d, np.ones((terms, 1))], [eye, zero], [-eye, zero]])
+    b = np.concatenate([logs[at] - logs[~at], hi, -lo])
+    # rounding slack, relative to the sizes of b and of the products A (xi, t)
+    tol = 1e-12 * (1.0 + np.abs(b).max() + np.abs(d).sum(axis=1).max() * np.abs(b[terms:]).max())
+    active = np.zeros(len(b), dtype=bool)
+    active[np.argsort((d * d).sum(axis=1), kind="stable")[: n + 2]] = True
+    active[terms:] = True
+    for _ in range(terms):  # each round but the last adds a term row
+        rows = np.flatnonzero(active)
+        subsets = np.array(list(itertools.combinations(rows.tolist(), n + 1)))
+        mats = A[subsets]
+        cut = np.abs(np.linalg.det(mats)) > 0.5  # integer determinants: 0 or at least 1
+        z = np.linalg.solve(mats[cut], b[subsets[cut], None])[:, :, 0]
+        z = z[(A[rows] @ z.T <= b[rows, None] + tol).all(axis=0)]
+        best = z[z[:, n] >= z[:, n].max() - tol]
+        violated = (A @ best.T > b[:, None] + tol).any(axis=1)
+        if not violated.any():
+            break
+        active |= violated
+    best = best[np.unique(best.round(9), axis=0, return_index=True)[1]]  # once per vertex
+    xi = np.clip(best[:, :n].mean(axis=0), lo, hi)
+    if (b[:terms] - d @ xi).min() <= 0.0:
         return None
-    return tuple(float(v) for v in res.x[: len(box)])
+    return tuple(xi.tolist())
 
 
 def _gamma(n: int) -> float:

@@ -310,6 +310,13 @@ class ComplexLaurentPolynomial(_LaurentTerms):
 
     def __mul__(self, other):
         if isinstance(other, ComplexLaurentPolynomial):
+            # a product c1 c2 of nonzero floats that is 0 underflowed: no sum
+            # could tell it from a cancellation once it is dropped
+            for c1 in self.terms.values():
+                for c2 in other.terms.values():
+                    c = c1 * c2
+                    if not (c and cmath.isfinite(c)):
+                        raise DomainError("a coefficient product leaves the float range")
             return self._product(other)
         return ComplexLaurentPolynomial(
             self.n, {e: c * complex(other) for e, c in self.terms.items()}

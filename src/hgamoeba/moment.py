@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .amoeba import DILATION_PIXELS, LogWindow, _sweep, _term_arrays, adaptive_window
 from .errors import DomainError
@@ -117,6 +116,8 @@ def wca_occupancy(
         iy = np.floor((cloud.points[:, 1] - y0) / (y1 - y0) * resolution).astype(int)
         keep = (ix >= 0) & (ix < resolution) & (iy >= 0) & (iy < resolution)
         grid[ix[keep], iy[keep]] = True
+    from scipy import ndimage
+
     grid = ndimage.binary_dilation(grid, iterations=DILATION_PIXELS)
     return grid, (x0, x1, y0, y1)
 

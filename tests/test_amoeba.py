@@ -491,9 +491,12 @@ def test_lopsided_implies_nonvanishing(p3_paper):
 def test_cross_polytope_centre_is_certified_iff_optimal():
     """c + a1 x + b1/x + a2 y + b2/y: plain lopsidedness at the LP point is
     sharp, so the centre is certified exactly when the closed form says
-    optimal.  Instances lie at least 5 % away from sum sqrt(a_j b_j) = c/2."""
+    optimal.  Instances lie at least 5 % away from sum sqrt(a_j b_j) = c/2.
+    The LP point is the centre of its optimal face, not a vertex the box
+    happens to cap, so nearly all vertex orders are certified too."""
     rng = random.Random(20081)
     seen = set()
+    vertices = 0
     for _ in range(30):
         a = [rng.uniform(0.2, 5.0) for _ in range(2)]
         b = [rng.uniform(0.2, 5.0) for _ in range(2)]
@@ -505,7 +508,73 @@ def test_cross_polytope_centre_is_certified_iff_optimal():
         optimal = cross_polytope_optimal(a, b, c)
         assert ((0, 0) in certs) is optimal
         seen.add(optimal)
+        vertices += len(set(certs) & {(1, 0), (-1, 0), (0, 1), (0, -1)})
     assert seen == {True, False}
+    assert vertices >= 110  # of 120
+
+
+def _lp_case(rng, n):
+    """A seeded dominance LP (exps, logs, alpha, box) in n variables: a
+    random, collinear or tied support, a box that may cap the optimum, and
+    sometimes an alpha that carries no monomial."""
+    kind = rng.choice(["random", "collinear", "tied"])
+    if kind == "collinear" and n == 2:
+        step = rng.choice([(1, 0), (1, 1), (1, 2), (2, -1)])
+        ks = rng.sample(range(-6, 7), rng.randint(3, 9))
+        exps = [tuple(k * s for s in step) for k in ks]
+    else:
+        grid = list(itertools.product(range(-4, 5) if n == 2 else range(-2, 3), repeat=n))
+        exps = rng.sample(grid, rng.randint(3, 40 if n == 2 else 15))
+    if kind == "tied":
+        logs = [math.log(rng.choice([1.0, 2.0])) for _ in exps]
+    else:
+        logs = [rng.gauss(0.0, 3.0) for _ in exps]
+    box = []
+    for _ in range(n):
+        centre, half = rng.uniform(-3.0, 3.0), rng.choice([0.1, 1.0, 5.0, 50.0])
+        box.append((centre - half, centre + half))
+    alpha = rng.choice(exps)
+    if rng.random() < 0.15:
+        alpha = tuple(a + rng.choice([-9, 9]) for a in alpha)
+    return np.array(exps, dtype=float), np.array(logs), alpha, box
+
+
+def test_dominance_point_matches_linprog():
+    """The numpy LP against scipy's: the margin of alpha at the returned
+    point is linprog's optimum, the point lies in the box, and None comes
+    back exactly when that optimum is not positive or alpha carries no
+    monomial.  The first case is 1 + xy + x^2 y^2, whose middle term at
+    best ties the other two: a margin of exactly 0."""
+    rng = random.Random(2214)
+    tie = (np.array([(0, 0), (1, 1), (2, 2)], dtype=float), np.zeros(3), (1, 1), [(-5, 5)] * 2)
+    cases = [tie] + [_lp_case(rng, 2) for _ in range(150)] + [_lp_case(rng, 3) for _ in range(20)]
+    outcomes = set()
+    for exps, logs, alpha, box in cases:
+        xi = amoeba._dominance_point(exps, logs, alpha, box)
+        at = (exps == np.array(alpha, dtype=float)).all(axis=1)
+        if not at.any():
+            assert xi is None
+            outcomes.add("no monomial")
+            continue
+        d, b = exps[~at] - exps[at], logs[at] - logs[~at]
+        n = len(box)
+        res = scipy.optimize.linprog(
+            [0.0] * n + [-1.0], A_ub=np.column_stack([d, np.ones(len(d))]), b_ub=b,
+            bounds=list(box) + [(None, None)], method="highs",
+        )
+        assert res.status == 0
+        best = -res.fun
+        if best <= 0.0:
+            assert xi is None, (alpha, box, best)
+            outcomes.add("no margin")
+            continue
+        assert xi is not None, (alpha, box, best)
+        assert all(lo <= v <= hi for v, (lo, hi) in zip(xi, box))
+        margin = (b - d @ np.array(xi)).min()
+        assert abs(margin - best) <= 1e-9 * (1.0 + abs(best)), (alpha, box, margin, best)
+        capped = any(v in (lo, hi) for v, (lo, hi) in zip(xi, box))
+        outcomes.add("capped" if capped else "inside")
+    assert outcomes == {"no monomial", "no margin", "capped", "inside"}
 
 
 def _interior(N, alpha):
@@ -618,13 +687,13 @@ def test_one_lp_per_lattice_point(monkeypatch):
     order = component_order(line(), gone.representative)
     filled = AmoebaRaster(r.window, r.grid | (r.labels == gone.label))
     calls = []
-    solve = scipy.optimize.linprog
+    solve = amoeba._dominance_point
 
     def counted(*args, **kwargs):
         calls.append(args)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    monkeypatch.setattr(amoeba, "_dominance_point", counted)
     rep = optimality_report(line(), raster=filled)
     assert len(calls) == 3
     assert rep.optimal is True

@@ -90,7 +90,7 @@ def test_every_submodule_imports_first():
     the import graph between them has no cycle.  The package's own
     __init__ is bypassed, since it would import the modules in its order.
     With every module imported, none of the test-only oracles (sympy,
-    mpmath, hypothesis) is loaded, nor orjson or scipy.optimize, which are
+    mpmath, hypothesis) is loaded, nor orjson or any scipy module, which are
     imported where they are used so that no command pays for them at
     start-up."""
     code = (
@@ -104,10 +104,34 @@ def test_every_submodule_imports_first():
         "    package.__path__ = path\n"
         "    sys.modules['hgamoeba'] = package\n"
         "    importlib.import_module('hgamoeba.' + name)\n"
-        "lazy = {'sympy', 'mpmath', 'hypothesis', 'orjson', 'scipy.optimize'}\n"
-        "assert not lazy & set(sys.modules), sorted(lazy & set(sys.modules))\n"
+        "lazy = {'sympy', 'mpmath', 'hypothesis', 'orjson', 'scipy'}\n"
+        "loaded = {k for k in sys.modules if k.split('.')[0] in lazy}\n"
+        "assert not loaded, sorted(loaded)\n"
         "print(' '.join(names))\n"
     )
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert {"laurent", "polytope", "horn", "amoeba"} <= set(done.stdout.split())
+
+
+def test_certificate_only_optimal_loads_no_scipy(tmp_path, p1_paper):
+    """The octagon p1 is proved optimal by certificates alone, so neither
+    importing the package nor ``optimal`` on it loads scipy, which only
+    rasters need."""
+    from hgamoeba.io import polynomial_to_json
+
+    pfile = tmp_path / "p1.json"
+    pfile.write_text(polynomial_to_json(p1_paper))
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        "import hgamoeba.cli\n"
+        f"code = hgamoeba.cli.main(['optimal', {str(pfile)!r}, '--report', "
+        f"{str(tmp_path / 'r.json')!r}])\n"
+        "assert code == 0, code\n"
+        "loaded = sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "optimal" in done.stdout

@@ -179,6 +179,21 @@ def test_substitution_float_scale_out_of_range_rejected(terms, t, ell):
         LP(2, terms).monomial_substitution([[1, 0], [0, 1]], t=t, ell=ell)
 
 
+def test_float_product_out_of_range_rejected():
+    """(1e-200 x + y)^2 has the coefficient 1e-400 at x^2, which underflows:
+    the product raises instead of dropping the term."""
+    with pytest.raises(DomainError):
+        LP(2, {(1, 0): 1e-200, (0, 1): 1}).monomial_substitution(
+            [[1, 0], [0, 1]], t=(1.0, 1), ell=2
+        )
+    q = ComplexLaurentPolynomial(2, {(1, 0): 1e-200, (0, 1): 1})
+    for bad in (lambda: q * q, lambda: q ** 2,
+                lambda: ComplexLaurentPolynomial(2, {(0, 0): 1e200}) ** 2):
+        with pytest.raises(DomainError):
+            bad()
+    assert len((ComplexLaurentPolynomial(2, {(1, 0): 1e-100, (0, 1): 1}) ** 2).terms) == 3
+
+
 def test_substitution_irrational_scale_goes_inexact():
     q = x_plus_y().monomial_substitution([[1, 0], [0, 1]], t=(2.0 ** 0.5, 1))
     assert isinstance(q, ComplexLaurentPolynomial)

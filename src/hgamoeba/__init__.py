@@ -1,20 +1,13 @@
 """hgamoeba: exact hypergeometric polynomials of integer polytopes, Horn
-difference-differential systems, and amoeba / moment-map analysis tools."""
+difference-differential systems, and amoeba / moment-map analysis tools.
 
-from .amoeba import (
-    AmoebaRaster,
-    ComplementComponent,
-    LogWindow,
-    OptimalityReport,
-    adaptive_window,
-    complement_components,
-    component_order,
-    cross_polytope_optimal,
-    lopsided_certificates,
-    optimality_report,
-    rasterize_amoeba,
-    resolved_components,
-)
+The package imports in two layers.  The exact layer (errors, polytope,
+laurent, horn, families) is pure Python and is imported with the package.
+The numeric layer (amoeba, moment, roots) needs numpy, so its names are
+resolved on first access (PEP 562): ``construct``, ``horn``, ``verify`` and
+``family`` never load numpy, while ``hgamoeba.rasterize_amoeba`` and
+``from hgamoeba import *`` work as if every name were imported eagerly."""
+
 from .errors import (
     DegeneratePolytopeError,
     DomainError,
@@ -50,15 +43,6 @@ from .horn import (
     reflect_to_reciprocal,
 )
 from .laurent import ComplexLaurentPolynomial, LaurentPolynomial, require_exact
-from .moment import (
-    MomentImagePointCloud,
-    containment_violation,
-    moment_map,
-    point_in_wca_gap,
-    rasterize_wca,
-    skeleton_approximation,
-    wca_occupancy,
-)
 from .polytope import (
     Facet,
     IntegerPolytope,
@@ -69,8 +53,53 @@ from .polytope import (
     newton_polytope,
     zn_connected_components,
 )
-from .roots import aberth_roots_batch, univariate_roots
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_NUMERIC = {
+    "amoeba": (
+        "AmoebaRaster",
+        "ComplementComponent",
+        "LogWindow",
+        "OptimalityReport",
+        "adaptive_window",
+        "complement_components",
+        "component_order",
+        "cross_polytope_optimal",
+        "lopsided_certificates",
+        "optimality_report",
+        "rasterize_amoeba",
+        "resolved_components",
+    ),
+    "moment": (
+        "MomentImagePointCloud",
+        "containment_violation",
+        "moment_map",
+        "point_in_wca_gap",
+        "rasterize_wca",
+        "skeleton_approximation",
+        "wca_occupancy",
+    ),
+    "roots": ("aberth_roots_batch", "univariate_roots"),
+}
+_NUMERIC_HOME = {name: module for module, names in _NUMERIC.items() for name in names}
+
+
+# the exact names, the submodules their imports bound (errors, polytope, ...)
+# and every numeric name and module, as eager imports of all of them would give
+__all__ = sorted(
+    {name for name in dir() if not name.startswith("_")} | set(_NUMERIC_HOME) | set(_NUMERIC)
+)
+
+
+def __getattr__(name):
+    """Import a numeric module when it, or one of its names, is first asked for."""
+    from importlib import import_module
+
+    home = name if name in _NUMERIC else _NUMERIC_HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{home}", __name__)
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value
+    return value

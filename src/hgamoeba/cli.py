@@ -1,6 +1,10 @@
 """Command-line interface: construction, Horn derivation and verification,
 amoeba analysis and figure-style artifacts.
 
+The numeric modules (amoeba, moment) are imported inside the commands that
+use them, so the exact commands (construct, horn, verify, family) load no
+numpy.
+
 Exit codes: 0 success / true verdict, 1 false verdict, 2 input-domain error,
 3 parse error, 4 inconclusive analysis.
 """
@@ -12,9 +16,9 @@ import json
 import sys
 import warnings
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import amoeba as am
-from . import families, io, moment
+from . import families, io
 from .errors import DegeneratePolytopeError, DomainError, HgamoebaError, ParseError
 from .horn import (
     horn_system,
@@ -23,6 +27,9 @@ from .horn import (
 )
 from .laurent import LaurentPolynomial
 from .polytope import newton_polytope
+
+if TYPE_CHECKING:
+    from .amoeba import LogWindow
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -36,7 +43,9 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _parse_window(args, p) -> am.LogWindow:
+def _parse_window(args, p) -> LogWindow:
+    from . import amoeba as am
+
     if args.window:
         parts = [float(v) for v in args.window.split(",")]
         if len(parts) != 4:
@@ -84,12 +93,16 @@ def cmd_verify(args) -> int:
 
 
 def _analyze(args):
+    from . import amoeba as am
+
     p = io.polynomial_from_json(_read(args.polynomial))
     w = _parse_window(args, p)
     return am.optimality_report(p, w)
 
 
 def cmd_amoeba(args) -> int:
+    from . import amoeba as am
+
     p = io.polynomial_from_json(_read(args.polynomial))
     raster = am.rasterize_amoeba(p, _parse_window(args, p))
     report = am.optimality_report(p, raster=raster)
@@ -119,6 +132,8 @@ def cmd_optimal(args) -> int:
 
 
 def cmd_wca(args) -> int:
+    from . import moment
+
     p = io.polynomial_from_json(_read(args.polynomial))
     w = _parse_window(args, p)
     cloud = moment.rasterize_wca(p, w, weighted=not args.unweighted)
@@ -133,6 +148,8 @@ def cmd_wca(args) -> int:
 
 
 def cmd_hadamard(args) -> int:
+    from . import moment
+
     p = io.polynomial_from_json(_read(args.polynomial))
     rs = [float(v) for v in args.r.split(",")]
     w = _parse_window(args, p)
@@ -181,6 +198,8 @@ def cmd_gallery(args) -> int:
     """Regenerate small-scale analogues of the paper-style figures."""
     import os
 
+    from . import amoeba as am
+    from . import moment
     from .polytope import facet_description
 
     outdir = args.outdir
@@ -337,8 +356,8 @@ def main(argv=None) -> int:
     except HgamoebaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:  # a missing, unreadable or unwritable file
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, ZeroDivisionError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ from math import comb, factorial
 
 from .errors import DomainError
 from .laurent import LaurentPolynomial
-from .roots import univariate_roots
 
 Grid = list[Fraction]
 
@@ -103,6 +102,8 @@ def aster_scatter(a: int, b_values, c_values):
     Yields (b, c, root) triples; per-instance failures (parameter poles)
     are skipped.
     """
+    from .roots import univariate_roots  # here: the only numeric function of this module
+
     out = []
     for b in b_values:
         for c in c_values:

@@ -4,7 +4,9 @@ rename so that failed runs leave no partial output.
 
 Cloud CSVs are large (one row per fiber-sweep sample), so they are
 formatted in C by orjson, a slice of rows at a time, and come out byte for
-byte as Python's ``repr`` would write them: shortest round-trip decimals."""
+byte as Python's ``repr`` would write them: shortest round-trip decimals.
+numpy and orjson are imported inside the cloud and PPM writers, so reading
+and writing the exact formats loads neither."""
 
 from __future__ import annotations
 
@@ -13,14 +15,15 @@ import os
 import re
 import tempfile
 from fractions import Fraction
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import DomainError, ParseError
 from .horn import GammaFactor, HornSystem, LinearForm, OreSatoCoefficient
 from .laurent import LaurentPolynomial
 from .polytope import IntegerPolytope, facet_description
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # -- atomic writing ------------------------------------------------------
@@ -46,15 +49,19 @@ def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         os.fchmod(fd, mode)
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # the temp file's name means nothing to the caller; name ``path``
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -213,6 +220,8 @@ def cloud_to_csv(clouds) -> Iterator[str]:
     byte for byte as ``repr`` writes them.  A non-finite point raises
     ValueError.
     """
+    import numpy as np
+
     yield "r,u,v\n"
     for cloud in clouds:
         row_start = f"\n{float(cloud.hadamard_order)!r},".encode()
@@ -252,6 +261,8 @@ def _order_color(order) -> tuple[int, int, int]:
 
 def amoeba_ppm(grid: np.ndarray, components=None, labels=None) -> bytes:
     """P6 image: amoeba pixels black, complement colored by component order."""
+    import numpy as np
+
     res_x, res_y = grid.shape
     img = np.full((res_x, res_y, 3), 255, dtype=np.uint8)
     if components is not None and labels is not None:
@@ -269,6 +280,8 @@ def amoeba_ppm(grid: np.ndarray, components=None, labels=None) -> bytes:
 
 def wca_ppm(grid: np.ndarray, P: IntegerPolytope, bounds) -> bytes:
     """P6 image of a WCA occupancy grid with the Newton polygon outlined."""
+    import numpy as np
+
     res_x, res_y = grid.shape
     img = np.full((res_x, res_y, 3), 255, dtype=np.uint8)
     img[grid] = (0, 0, 0)

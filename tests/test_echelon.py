@@ -85,25 +85,33 @@ def test_monomial_substitution_singular_exactly_when_det_is_zero():
     assert 10 < singular < 110
 
 
+EXACT_MODULES = ["errors", "polytope", "laurent", "horn", "families", "io", "cli"]
+
+
 def test_every_submodule_imports_first():
     """Each hgamoeba module imports with no other package module loaded, so
     the import graph between them has no cycle.  The package's own
     __init__ is bypassed, since it would import the modules in its order.
-    With every module imported, none of the test-only oracles (sympy,
-    mpmath, hypothesis) is loaded, nor orjson or any scipy module, which are
-    imported where they are used so that no command pays for them at
-    start-up."""
+    The exact modules come first, and none of them loads numpy, which only
+    the numeric layer (amoeba, moment, roots) needs.  With every module
+    imported, none of the test-only oracles (sympy, mpmath, hypothesis) is
+    loaded, nor orjson or any scipy module, which are imported where they
+    are used so that no command pays for them at start-up."""
     code = (
         "import importlib, pkgutil, sys, types\n"
         f"path = [{str(SRC / 'hgamoeba')!r}]\n"
+        f"exact = {EXACT_MODULES!r}\n"
         "names = sorted(m.name for m in pkgutil.iter_modules(path))\n"
-        "for name in names:\n"
+        "assert set(exact) <= set(names), names\n"
+        "for name in exact + sorted(set(names) - set(exact)):\n"
         "    for key in [k for k in sys.modules if k.split('.')[0] == 'hgamoeba']:\n"
         "        del sys.modules[key]\n"
         "    package = types.ModuleType('hgamoeba')\n"
         "    package.__path__ = path\n"
         "    sys.modules['hgamoeba'] = package\n"
         "    importlib.import_module('hgamoeba.' + name)\n"
+        "    if name in exact:\n"
+        "        assert 'numpy' not in sys.modules, name\n"
         "lazy = {'sympy', 'mpmath', 'hypothesis', 'orjson', 'scipy'}\n"
         "loaded = {k for k in sys.modules if k.split('.')[0] in lazy}\n"
         "assert not loaded, sorted(loaded)\n"
@@ -135,3 +143,70 @@ def test_certificate_only_optimal_loads_no_scipy(tmp_path, p1_paper):
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     assert "optimal" in done.stdout
+
+
+PUBLIC_NAMES = [
+    "AmoebaRaster", "ComplementComponent", "ComplexLaurentPolynomial",
+    "DegeneratePolytopeError", "DomainError", "F1Parameters", "Facet", "GammaFactor",
+    "HgamoebaError", "HornSystem", "InexactCoefficientError", "IntegerPolytope",
+    "InvalidTransformError", "LatticeSupport", "LaurentPolynomial", "LinearForm",
+    "LogWindow", "MomentImagePointCloud", "NeedsDeeperPointError", "OptimalityReport",
+    "OreSatoCoefficient", "ParseError", "aberth_roots_batch", "adaptive_window",
+    "amoeba", "annihilator_for_support", "appell_f1", "apply_horn_operator",
+    "aster_scatter", "biorthogonal_vtilde", "chebyshev_dense", "complement_components",
+    "component_order", "containment_violation", "cross_polytope_optimal", "errors",
+    "facet_description", "families", "gauss_2f1_polynomial", "horn", "horn_system",
+    "hypergeometric_polynomial", "is_horn_solution", "is_zn_convex", "lattice_points",
+    "laurent", "lopsided_certificates", "moment", "moment_map", "newton_polytope",
+    "optimality_report", "pochhammer", "point_in_wca_gap", "polynomial_from_coefficient",
+    "polytope", "psi_coefficient", "psi_from_polytope", "rasterize_amoeba",
+    "rasterize_wca", "reflect_to_reciprocal", "require_exact", "resolved_components",
+    "roots", "skeleton_approximation", "toeplitz_chebyshev", "univariate_roots",
+    "wca_occupancy", "zn_connected_components",
+]
+
+
+def test_exact_commands_load_no_numpy(tmp_path, p3_paper):
+    """construct, horn, verify and family compute in Fraction arithmetic, so
+    neither importing the CLI nor running them loads numpy, scipy or orjson.
+    The numeric names of the package are resolved on first access, and the
+    public names are those an eager import of every module gave."""
+    from hgamoeba import facet_description, psi_from_polytope
+    from hgamoeba.io import oresato_to_json, polynomial_to_json, polytope_to_json
+
+    quad = facet_description([(2, 0), (3, 2), (2, 3), (0, 1)])
+    (tmp_path / "quad.json").write_text(polytope_to_json(quad))
+    (tmp_path / "psi.json").write_text(oresato_to_json(psi_from_polytope(quad)))
+    (tmp_path / "p3.json").write_text(polynomial_to_json(p3_paper))
+    (tmp_path / "bad.json").write_text("{")
+    commands = [
+        (["construct", "quad.json", "-o", "p.json"], 0),
+        (["horn", "psi.json", "-o", "h.json"], 0),
+        (["verify", "p3.json", "psi.json"], 0),
+        (["verify", "bad.json", "psi.json"], 3),
+        (["family", "chebyshev", "--params", "6", "-o", "c.json"], 0),
+    ]
+    code = (
+        "import os, sys\n"
+        f"sys.path.insert(0, {str(SRC)!r})\n"
+        f"os.chdir({str(tmp_path)!r})\n"
+        "def numeric():\n"
+        "    heavy = {'numpy', 'scipy', 'orjson'}\n"
+        "    return sorted(k for k in sys.modules if k.split('.')[0] in heavy)\n"
+        "import hgamoeba.cli\n"
+        "assert not numeric(), numeric()\n"
+        f"for argv, expected in {commands!r}:\n"
+        "    assert hgamoeba.cli.main(argv) == expected, argv\n"
+        "    assert not numeric(), (argv, numeric())\n"
+        "import hgamoeba\n"
+        "names = sorted(hgamoeba.__all__)\n"
+        f"assert names == {PUBLIC_NAMES!r}, names\n"
+        "assert hgamoeba.rasterize_amoeba is hgamoeba.amoeba.rasterize_amoeba\n"
+        "scope = {}\n"
+        "exec('from hgamoeba import *', scope)\n"
+        "assert set(names) <= set(scope), sorted(set(names) - set(scope))\n"
+        "assert scope['univariate_roots'] is hgamoeba.roots.univariate_roots\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "solution" in done.stdout

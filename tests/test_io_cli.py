@@ -283,6 +283,34 @@ def test_cli_construct_missing_file(tmp_path):
     assert main(["construct", str(tmp_path / "nope.json"), "-o", "x.json"]) == 3
 
 
+@pytest.mark.parametrize("command", ["verify", "construct"])
+def test_cli_unreadable_input_is_a_file_error(tmp_path, quad_psi_file, capsys, command):
+    """A path that cannot be read exits 3 with one line, not a traceback and
+    not exit 1, which would read as a false verdict."""
+    argv = {
+        "verify": ["verify", str(tmp_path), quad_psi_file],
+        "construct": ["construct", str(tmp_path), "-o", str(tmp_path / "o.json")],
+    }[command]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("file error: ")
+    assert err[0].endswith(repr(str(tmp_path)))
+
+
+def test_cli_failed_write_names_the_output_path(tmp_path, quad_polytope_file, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    target = os.path.join("missing_dir", "x.json")
+    assert main(["construct", quad_polytope_file, "-o", target]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("file error: ")
+    assert err[0].endswith(repr(target))
+    assert os.listdir(tmp_path) == ["quad.json"]
+
+
 def test_cli_construct_degenerate(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 2, "vertices": [[0, 0], [1, 1], [2, 2]]}))

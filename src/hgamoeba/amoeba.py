@@ -11,10 +11,11 @@ swept, and the fibers of a block of consecutive columns are solved
 together.  For real coefficients half the ring of angles is solved and
 mirrored onto the other half, since the fiber at 2 pi - theta has the
 conjugate roots of the fiber at theta; complex coefficients get the whole
-ring.  The sweep has two views.  The amoeba raster here bins the samples
-into pixels and dilates the union by one pixel to close sampling gaps; the
-compactified amoeba (``moment.rasterize_wca``) maps the same samples through
-the moment map.
+ring.  The sweep (``_sweep_blocks``) has two views.  The amoeba raster here
+bins the samples of each column (``_sweep``) into pixels and dilates the
+union by one pixel to close sampling gaps; the compactified amoeba
+(``moment.rasterize_wca``) maps the solved samples of each block through the
+moment map, and lists each mirrored sample as its solved twin.
 """
 
 from __future__ import annotations
@@ -178,21 +179,29 @@ def rasterize_amoeba(p, w: LogWindow) -> AmoebaRaster:
 
 
 def _sweep(p, w: LogWindow):
-    """The fiber sweep of the zero locus, one pixel column at a time.
+    """The per-column view of ``_sweep_blocks``: (axis, column, u, finite
+    log-moduli over the whole ring of angles), the mirrored slot N - 1 - k
+    a copy of solved angle k.  A generator, so that the raster never holds
+    more than one block of columns of samples."""
+    for axis, cols, us, logabs, mirrored in _sweep_blocks(p, w):
+        for i, u, col in zip(cols.tolist(), us.tolist(), logabs):
+            col = np.concatenate([col, col[:mirrored][::-1]])
+            yield axis, i, u, col[np.isfinite(col)]
 
-    For each axis and each column of that coordinate, at log-modulus u, yields
-    (axis, column, u, finite log-moduli of the fiber roots in the other
-    coordinate) over the window's ring of angles.  A generator, so that the
-    raster never holds more than one block of columns of samples.
 
-    The fibers of consecutive columns are built and solved together, in
-    blocks of about ``FIBER_BLOCK_ROWS`` rows, because one solve per column
-    leaves the root solver little to batch over.  The roots of a fiber do
-    not depend on the block it is solved in.
+def _sweep_blocks(p, w: LogWindow):
+    """The fiber sweep of the zero locus, one block of pixel columns at a time.
 
-    The ring of angles is ``_ring``: with real coefficients only its first
-    half is solved, and the log-moduli of angle k < ceil(N / 2) are copied
-    into the mirrored slot N - 1 - k.
+    For each axis and each block of consecutive columns of that coordinate,
+    yields (axis, columns, u per column, log-moduli (columns, solved angles,
+    roots) of the fiber roots in the other coordinate, NaN where a root did
+    not converge or above a fiber's degree, mirrored angles).  The solved
+    angles are the ring ``_ring``; the last ``mirrored`` angles of the whole
+    ring of N repeat them, angle N - 1 - k the log-moduli of angle k.
+
+    A block has about ``FIBER_BLOCK_ROWS`` fibers, solved together because
+    one solve per column leaves the root solver little to batch over.  The
+    roots of a fiber do not depend on the block it is solved in.
     """
     exps, coeffs = _term_arrays(p)
     exps -= np.minimum(exps.min(axis=0), 0)  # a monomial factor moves no root
@@ -216,9 +225,7 @@ def _sweep(p, w: LogWindow):
             roots = _fiber_roots(_fiber_rows(exps, log_abs_c, 1 - axis, log_mod, phases))
             with np.errstate(divide="ignore", invalid="ignore"):
                 logabs = np.log(np.abs(roots)).reshape(len(cols), solved, -1)
-            for i, u, col in zip(cols.tolist(), us.tolist(), logabs):
-                col = np.concatenate([col, col[: n_angles - solved][::-1]])
-                yield axis, i, u, col[np.isfinite(col)]
+            yield axis, cols, us, logabs, n_angles - solved
 
 
 def _ring(coeffs: np.ndarray, n_angles: int) -> np.ndarray:

@@ -5,6 +5,8 @@ rename so that failed runs leave no partial output.
 Cloud CSVs are large (one row per fiber-sweep sample), so they are
 formatted in C by orjson, a slice of rows at a time, and come out byte for
 byte as Python's ``repr`` would write them: shortest round-trip decimals.
+Only a slice holding a nonzero magnitude outside [1e-4, 1e16) has its
+notation rewritten.
 numpy and orjson are imported inside the cloud and PPM writers, so reading
 and writing the exact formats loads neither."""
 
@@ -195,8 +197,9 @@ CSV_SLICE_ROWS = 1 << 16  # rows of cloud CSV text formatted at a time
 # orjson and repr write the same shortest round-trip digits and differ only
 # in notation: orjson writes exponents without repr's sign and two digits
 # (1.5e-7 for 1.5e-07, 1e16 for 1e+16), and the band [1e-5, 1e-4) without an
-# exponent (0.00001 for 1e-05).  Both patterns open with a literal, which
-# the regex engine finds fast.
+# exponent (0.00001 for 1e-05).  Both write zeros and every magnitude in
+# [1e-4, 1e16) alike, so a slice holding only those skips the rewrite.  Both
+# patterns open with a literal, which the regex engine finds fast.
 _EXPONENT = re.compile(rb"e(-?)([0-9]+)")
 _BAND = re.compile(rb"0\.0000[0-9]+")
 
@@ -240,7 +243,10 @@ def _csv_rows(block: np.ndarray, row_start: bytes) -> str:
     import orjson  # here, not at module level: the import costs every command ~10 ms
 
     text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)  # [[u,v],[u,v],...]
-    text = _BAND.sub(_repr_band, _EXPONENT.sub(_repr_exponent, text))
+    size = abs(block)
+    if not (((size >= 1e-4) & (size < 1e16)) | (size == 0)).all():
+        # only here do orjson's notation and repr's differ
+        text = _BAND.sub(_repr_band, _EXPONENT.sub(_repr_exponent, text))
     text = text.replace(b"],[", row_start)
     text = b"".join((row_start[1:], memoryview(text)[2:-2], b"\n"))
     return text.decode()

@@ -3,8 +3,11 @@
 The weighted moment map sends a torus point to the barycenter of the support
 with weights |a_s| |x^s|; those weights depend only on the log-moduli.  So the
 compactified amoeba is the second view of the one fiber sweep
-(``amoeba._sweep``): the log-space raster bins its samples, and the cloud here
-maps the same samples through the moment map.
+(``amoeba._sweep_blocks``): the log-space raster bins its samples, and the
+cloud here maps the same samples through the moment map.  With real
+coefficients a mirrored fiber repeats the log-moduli of its conjugate, so
+each conjugate pair is mapped once and the cloud lists the mapped point
+twice.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .amoeba import DILATION_PIXELS, LogWindow, _sweep, _term_arrays, adaptive_window
+from .amoeba import DILATION_PIXELS, LogWindow, _sweep_blocks, _term_arrays, adaptive_window
 from .errors import DomainError
 from .laurent import LaurentPolynomial
 from .polytope import IntegerPolytope, newton_polytope
@@ -64,22 +67,32 @@ def rasterize_wca(p, w: Optional[LogWindow] = None, weighted: bool = True) -> Mo
         raise DomainError("moment-map rasterization is implemented for two variables")
     if w is None:
         w = adaptive_window(p)
-    logs = _zero_locus_log_points(p, w)
-    if logs.size == 0:
-        return MomentImagePointCloud(np.zeros((0, 2)))
-    # map through the moment map of the original polynomial so that the
-    # cloud lives inside its Newton polytope
-    pts = _moment_from_logs(p, logs, weighted)
-    return MomentImagePointCloud(pts)
+    logs, index = _zero_locus_log_points(p, w)
+    # through the moment map of the original polynomial, so that the cloud lies
+    # in its Newton polytope; a mirrored sample shares its solved twin's point
+    mapped = _moment_from_logs(p, logs, weighted)
+    del logs  # freed before the whole cloud is made, which is the peak of memory
+    return MomentImagePointCloud(mapped[index])
 
 
-def _zero_locus_log_points(p, w: LogWindow) -> np.ndarray:
-    """The fiber sweep's samples as (x, y) log-points of the zero locus."""
-    pairs = []
-    for axis, _, u, v in _sweep(p, w):
-        us = np.full(v.shape, u)
-        pairs.append(np.stack((us, v) if axis == 0 else (v, us), axis=1))
-    return np.concatenate(pairs) if pairs else np.zeros((0, 2))
+def _zero_locus_log_points(p, w: LogWindow) -> tuple[np.ndarray, np.ndarray]:
+    """The fiber sweep's solved samples as (x, y) log-points of the zero
+    locus, and the index into them that lists the samples of the whole ring,
+    mirrored angles included, in the order of ``amoeba._sweep``."""
+    pairs, index, count = [], [], 0
+    for axis, _, us, logabs, mirrored in _sweep_blocks(p, w):
+        finite = np.isfinite(logabs)
+        slot = np.full(logabs.shape, -1)
+        slot[finite] = np.arange(count, count + finite.sum())
+        count += finite.sum()
+        slot = np.concatenate([slot, slot[:, :mirrored][:, ::-1]], axis=1)
+        index.append(slot[slot >= 0])
+        v = logabs[finite]
+        u = np.broadcast_to(us[:, None, None], logabs.shape)[finite]
+        pairs.append(np.stack((u, v) if axis == 0 else (v, u), axis=1))
+    if not pairs:
+        return np.zeros((0, 2)), np.zeros(0, dtype=np.intp)
+    return np.concatenate(pairs), np.concatenate(index)
 
 
 def skeleton_approximation(
@@ -112,8 +125,8 @@ def wca_occupancy(
     x1, y1 = float(hi[0]), float(hi[1])
     grid = np.zeros((resolution, resolution), dtype=bool)
     if cloud.points.size:
-        ix = np.floor((cloud.points[:, 0] - x0) / (x1 - x0) * resolution).astype(int)
-        iy = np.floor((cloud.points[:, 1] - y0) / (y1 - y0) * resolution).astype(int)
+        ix = _pixel(cloud.points[:, 0], x0, x1, resolution).astype(int)
+        iy = _pixel(cloud.points[:, 1], y0, y1, resolution).astype(int)
         keep = (ix >= 0) & (ix < resolution) & (iy >= 0) & (iy < resolution)
         grid[ix[keep], iy[keep]] = True
     from scipy import ndimage
@@ -122,17 +135,23 @@ def wca_occupancy(
     return grid, (x0, x1, y0, y1)
 
 
+def _pixel(v, lo: float, hi: float, resolution: int):
+    """Float pixel index of v over [lo, hi]; v = hi is in the last pixel."""
+    i = np.floor((v - lo) / (hi - lo) * resolution)
+    return np.where(i == resolution, resolution - 1, i)
+
+
 def point_in_wca_gap(
     cloud: MomentImagePointCloud, P: IntegerPolytope, point: Sequence[float],
     resolution: int = 400,
 ) -> bool:
     """True iff the point's pixel lies in an unoccupied region of the WCA raster."""
     grid, (x0, x1, y0, y1) = wca_occupancy(cloud, P, resolution)
-    ix = math.floor((float(point[0]) - x0) / (x1 - x0) * resolution)
-    iy = math.floor((float(point[1]) - y0) / (y1 - y0) * resolution)
+    ix = _pixel(float(point[0]), x0, x1, resolution)
+    iy = _pixel(float(point[1]), y0, y1, resolution)
     if not (0 <= ix < resolution and 0 <= iy < resolution):
         return False
-    return not grid[ix, iy]
+    return not grid[int(ix), int(iy)]
 
 
 def containment_violation(cloud: MomentImagePointCloud, p) -> float:

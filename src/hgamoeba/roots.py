@@ -9,10 +9,13 @@ angle of each column.
 * Start: a row of degree 1 or 2 starts at its closed-form roots, -c_0 / c_1
   or the cancellation-free quadratic formula (Higham, Accuracy and
   Stability of Numerical Algorithms, sec. 1.8), which usually pass the
-  stopping test at once.  Other rows, and a row whose closed form
-  overflows or underflows, start on circles whose log-radii are minus the
-  slopes of the upper convex hull of (k, log|c_k|), the Newton polygon of
-  the row, so roots of very different sizes start at their own scale.
+  stopping test at once.  Other rows start on circles whose log-radii are
+  minus the slopes of the upper convex hull of (k, log|c_k|), the Newton
+  polygon of the row, so roots of very different sizes start at their own
+  scale.  As in MPSolve, an edge of width 1 or 2 isolated by a slope drop
+  of at least 2 ln 3 at both ends (Pellet's test) starts at the
+  closed-form roots of its own truncation instead.  A closed form that
+  overflows or underflows falls back to the circles.
 * Stop: a root is frozen once its componentwise backward error
   |p(z)| / sum_k |c_k| |z|^k is at most ``BACKWARD_TOL`` * d * eps, a bound
   above the rounding noise of evaluating p.  Relative, so tiny roots are
@@ -40,14 +43,12 @@ BACKWARD_TOL = 4.0
 _EPS = np.finfo(float).eps
 _LOG_RADIUS_CAP = 700.0  # exp of this stays finite
 _SQRT_TINY = np.sqrt(np.finfo(float).tiny)  # |b| below this: b^2 is not a normal number
+_SEPARATION = 2.0 * np.log(3.0)  # slope drop that isolates a Newton-polygon edge
 
 
-def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
-    """Initial iterates for rows with nonzero constant and leading terms.
-
-    An upper-hull edge of (k, log|c_k|) of width w and slope -s stands for w
-    roots of modulus about exp(s); they start equally spaced on that circle.
-    """
+def _hull(c: np.ndarray) -> np.ndarray:
+    """Slopes (m, d) of the upper convex hull of (k, log|c_k|) on each [k, k + 1],
+    nonincreasing along a row, for rows with nonzero constant and leading terms."""
     m, width = c.shape
     d = width - 1
     with np.errstate(divide="ignore"):
@@ -64,7 +65,17 @@ def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
         for l in range(d, i, -1):
             np.maximum(tail, (logs[l] - logs[i]) / (l - i), out=tail)
             np.minimum(hull[l - 1], tail, out=hull[l - 1])
-    hull = hull.T  # (m, d), nonincreasing along a row
+    return hull.T
+
+
+def _newton_polygon_start(c: np.ndarray, hull: np.ndarray | None = None) -> np.ndarray:
+    """Initial iterates on circles, for rows with nonzero constant and
+    leading terms; ``hull`` is ``_hull(c)`` if the caller has it.  A hull
+    edge of width w and slope -s stands for w roots of modulus about exp(s);
+    they start equally spaced on that circle."""
+    if hull is None:
+        hull = _hull(c)
+    m, d = hull.shape
     log_r = np.clip(-hull, -_LOG_RADIUS_CAP, _LOG_RADIUS_CAP)
 
     # spread the roots of one edge over the whole circle: on coefficients
@@ -80,26 +91,15 @@ def _newton_polygon_start(c: np.ndarray) -> np.ndarray:
     return np.exp(log_r + 1j * angle)
 
 
-def _start(c: np.ndarray) -> np.ndarray:
-    """Initial iterates: the closed-form roots of rows of degree 1 or 2, the
-    Newton-polygon start elsewhere.
-
-    A row falls back to the Newton-polygon start where its closed form is
-    not finite or is zero (a term overflowed or underflowed in it), and
-    where the square root is zero because b^2 and 4ac underflowed: its start
-    -b / 2a is then the critical point of the row, where no Newton step can
-    move a root that fails the stopping test.  A zero square root of normal
-    numbers comes from a double root, or from a pair closer than rounding
-    tells apart, whose midpoint meets that test; one that did not would end
-    as NaN, not as a wrong root.
-    """
-    d = c.shape[1] - 1
-    if d > 2:
-        return _newton_polygon_start(c)
+def _closed_form(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roots (m, w) of rows of degree w = 1 or 2, and a mask of the rows
+    whose closed form is a usable start: finite and nonzero (no term
+    overflowed or underflowed), and not -b / 2a from a square root that is
+    zero because b^2 and 4ac underflowed, the critical point of the row,
+    where no Newton step can move a root that fails the stopping test."""
     with np.errstate(all="ignore"):
-        if d == 1:
+        if c.shape[1] == 2:
             z = -c[:, :1] / c[:, 1:]
-            underflow = False
         else:
             c0, b, a = c.T
             s = np.sqrt(b * b - 4.0 * a * c0)
@@ -107,10 +107,49 @@ def _start(c: np.ndarray) -> np.ndarray:
             np.negative(s, out=s, where=(b.conj() * s).real < 0)
             q = -0.5 * (b + s)
             z = np.stack([q / a, c0 / q], axis=1)
-            underflow = (s == 0) & (np.abs(b) < _SQRT_TINY)
-        fallback = underflow | ~(np.isfinite(z) & (z != 0)).all(axis=1)
-    if fallback.any():
-        z[fallback] = _newton_polygon_start(c[fallback])
+        usable = (np.isfinite(z) & (z != 0)).all(axis=1)
+        if c.shape[1] == 3:
+            usable &= (s != 0) | (np.abs(b) >= _SQRT_TINY)
+    return z, usable
+
+
+def _start(c: np.ndarray) -> np.ndarray:
+    """Initial iterates.  A row of degree 1 or 2 starts at its closed-form
+    roots where usable: a zero square root of normal numbers comes from a
+    double root, or a pair closer than rounding tells apart, whose midpoint
+    meets the stopping test (one that did not would end NaN, not wrong).
+
+    A higher row starts on the circles of ``_newton_polygon_start``, but an
+    edge of width w = 1 or 2 whose slope drops by at least 2 ln 3 at both
+    ends (or ends the polygon) is isolated: Pellet's test holds on circles
+    between it and its neighbours, so its annulus holds w roots.  They start
+    at the usable closed-form roots of the edge's own truncation
+    c_k + ... + c_(k+w) z^w.  A lone root of a real row in an annulus is
+    real, so a real start there cannot miss a complex root.
+    """
+    m, width = c.shape
+    d = width - 1
+    if d <= 2:
+        z, usable = _closed_form(c)
+        if not usable.all():
+            z[~usable] = _newton_polygon_start(c[~usable])
+        return z
+    hull = _hull(c)
+    drop = np.full((m, width), np.inf)  # slope drop at hull vertex k
+    np.subtract(hull[:, :-1], hull[:, 1:], out=drop[:, 1:-1])
+    wide = drop >= _SEPARATION
+    z = np.full((m, d), np.nan, dtype=complex)  # NaN: no closed form, a circle start
+    for w in (1, 2):
+        # the edge on [k, k + w] fills slots k to k + w - 1; one of width 2 has
+        # equal slopes, so |b|^2 <= |ac| keeps b^2 - 4ac off 0, its starts apart
+        edge = wide[:, :-w] & wide[:, w:]
+        if w == 2:
+            edge &= np.isclose(hull[:, :-1], hull[:, 1:], rtol=1e-9, atol=1e-9)
+        rows, k = np.nonzero(edge)
+        roots, usable = _closed_form(c[rows[:, None], k[:, None] + np.arange(w + 1)])
+        z[rows[usable, None], k[usable, None] + np.arange(w)] = roots[usable]
+    circle = np.isnan(z).any(axis=1)
+    z[circle] = np.where(np.isnan(z[circle]), _newton_polygon_start(c[circle], hull[circle]), z[circle])
     return z
 
 

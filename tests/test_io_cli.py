@@ -186,6 +186,23 @@ def test_cloud_csv_numbers_are_written_as_repr_writes_them(r):
     assert text == _repr_rows(r, points)
 
 
+# around the edges of the slices whose text needs no rewrite: every nonzero
+# magnitude in [1e-4, 1e16)
+FAST_PATH_EDGES = [0.0, -0.0, 5e-324, 9.99e-6, 1e-5, 9.99e-5, 1e-4, 9.99e15, 1e16, 1.7e308]
+
+
+@pytest.mark.parametrize("value", FAST_PATH_EDGES + [-v for v in FAST_PATH_EDGES])
+def test_cloud_csv_slice_edges_are_written_as_repr_writes_them(value):
+    """Each value alone in a slice, and mixed into a slice of values in
+    [0.5, 2.5], as a cloud CSV of the hadamard kind holds."""
+    alone = np.array([[value, value]])
+    mixed = np.random.default_rng(24).uniform(0.5, 2.5, (1_000, 2))
+    mixed[[3, 500, 999], [0, 1, 0]] = value
+    for points in (alone, mixed):
+        text = "".join(io.cloud_to_csv([MomentImagePointCloud(points)]))
+        assert text == _repr_rows(1.0, points)
+
+
 def test_cloud_csv_of_a_strided_or_float32_array():
     points = _adversarial_points(6)
     strided = np.repeat(points, 2, axis=1)[:, ::2]

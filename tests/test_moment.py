@@ -24,7 +24,12 @@ from hgamoeba import (
     wca_occupancy,
 )
 from hgamoeba import moment
-from hgamoeba.moment import _moment_from_logs, _zero_locus_log_points, hadamard_clouds
+from hgamoeba.moment import (
+    MomentImagePointCloud,
+    _moment_from_logs,
+    _zero_locus_log_points,
+    hadamard_clouds,
+)
 
 LP = LaurentPolynomial
 
@@ -149,7 +154,8 @@ def test_cloud_samples_bin_to_the_amoeba_raster(name, request):
         p = request.getfixturevalue(name)
     w = adaptive_window(p, 48, 64)
     res = w.resolution
-    logs = _zero_locus_log_points(p, w)
+    solved, index = _zero_locus_log_points(p, w)
+    logs = solved[index]
     ix = np.floor((logs[:, 0] - w.x_min) / ((w.x_max - w.x_min) / res)).astype(int)
     iy = np.floor((logs[:, 1] - w.y_min) / ((w.y_max - w.y_min) / res)).astype(int)
     keep = (ix >= 0) & (ix < res) & (iy >= 0) & (iy < res)
@@ -226,6 +232,24 @@ def test_dense_region_is_not_gap(p3_paper):
     # the centroid of the cloud lies in occupied territory
     cx, cy = cloud.points.mean(axis=0)
     assert not point_in_wca_gap(cloud, P, (cx, cy), resolution=80)
+
+
+# p3's vertices and their pixels at resolution 10 over the box [0, 3]^2; a
+# coordinate 3 lies on the box's top or right edge, in the last pixel
+VERTEX_PIXELS = {(2, 0): (6, 0), (3, 2): (9, 6), (2, 3): (6, 9), (0, 1): (0, 3)}
+
+
+@pytest.mark.parametrize("vertex", sorted(VERTEX_PIXELS))
+def test_a_vertex_cloud_occupies_its_pixel(vertex, p3_paper):
+    """Every vertex lies on an edge of the bounding box, so its pixel is an
+    edge pixel of the grid: with the one-pixel dilation it occupies 4 pixels,
+    and the vertex is not a gap."""
+    P = newton_polytope(p3_paper)
+    cloud = MomentImagePointCloud(np.array([vertex], dtype=float))
+    grid, _ = wca_occupancy(cloud, P, resolution=10)
+    assert grid[VERTEX_PIXELS[vertex]]
+    assert grid.sum() == 4
+    assert not point_in_wca_gap(cloud, P, vertex, resolution=10)
 
 
 def test_points_just_outside_the_box_are_not_gaps():

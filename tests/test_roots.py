@@ -433,3 +433,76 @@ def test_closed_form_starts_need_no_iteration(cross_poly, monkeypatch):
     w = amoeba.adaptive_window(cross_poly, 400, 512)
     counts = [len(vals) for _, _, _, vals in amoeba._sweep(cross_poly, w)]
     assert counts == [2 * 512] * 800
+
+
+# -- closed-form starts on isolated Newton-polygon edges ---------------------
+
+
+def edge_start_rows(rng, d, kind, real):
+    """Seeded rows of degree d: normal draws, moduli spread over 1e+-20, or
+    small integers with zero interior coefficients; real or complex."""
+    m = 200
+
+    def draw():
+        if kind == "normal":
+            return rng.normal(size=(m, d + 1))
+        if kind == "spread":
+            return 10.0 ** rng.uniform(-20, 20, (m, d + 1)) * rng.choice([-1.0, 1.0], (m, d + 1))
+        c = rng.integers(-4, 5, (m, d + 1)).astype(float)
+        c[:, 1:-1][rng.random((m, d - 1)) < 0.4] = 0
+        return c
+
+    c = draw() if real else draw() + 1j * draw()
+    c[:, [0, -1]] = np.where(c[:, [0, -1]] == 0, 1.0, c[:, [0, -1]])
+    return c.astype(complex)
+
+
+def circle_start_roots(c):
+    """The roots from the circle start on every edge: ``_newton_polygon_start``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "_start", kernel._newton_polygon_start)
+        return kernel._aberth(c)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("kind", ["normal", "spread", "integer"])
+@pytest.mark.parametrize("d", range(3, 9))
+def test_edge_starts_lose_no_root_the_circle_start_finds(d, kind, real):
+    """Per row, no more NaN roots than from the circle start, and the same
+    roots, within 1e-8, where both are finite."""
+    c = edge_start_rows(np.random.default_rng(1000 * d + 10 * len(kind) + real), d, kind, real)
+    got = kernel._aberth(c)
+    want = circle_start_roots(c)
+    assert (np.isnan(got).sum(axis=1) <= np.isnan(want).sum(axis=1)).all()
+    both = np.isfinite(got).all(axis=1) & np.isfinite(want).all(axis=1)
+    for a, b in ((got[both], want[both]), (want[both], got[both])):
+        dist = np.abs(a[:, :, None] - b[:, None, :]).min(axis=2)
+        assert (dist <= 1e-8 * np.maximum(1.0, np.abs(a))).all()
+
+
+def test_hypergeometric_cubic_starts_on_circles():
+    """The real 2F1 cubic 1 - 2z + 1.5z^2 - 0.4z^3 has no isolated edge: its
+    slopes drop by about 1 at each inner vertex.  From the width-1 closed
+    forms 0.5, 1.33 and 3.75, all real, two of its roots would end NaN; it
+    keeps the circle start and finds all three."""
+    c = np.array([[1.0, -2.0, 1.5, -0.4]], dtype=complex)
+    assert np.array_equal(kernel._start(c), kernel._newton_polygon_start(c))
+    roots = kernel._aberth(c)[0]
+    assert np.isfinite(roots).all()
+    for want in np.roots(c[0, ::-1]):
+        assert np.min(np.abs(roots - want)) <= 1e-12 * abs(want)
+
+
+def test_edge_starts_converge_at_once_on_p3_fibers(p3_paper, monkeypatch):
+    """With one iteration allowed, at most 40 % of the roots of the fibers of
+    p3's Hadamard powers r = 1, 2, 6 at 48/64 are NaN (the circle start
+    leaves about 86 %)."""
+    monkeypatch.setattr(kernel, "MAX_ITER", 1)
+    found = total = 0
+    for r in (1, 2, 6):
+        q = p3_paper.hadamard_power(r)
+        w = amoeba.adaptive_window(q, 48, 64)
+        widths = [max(e[k] for e in q.terms) - min(e[k] for e in q.terms) for k in (0, 1)]
+        total += w.resolution * w.angular_samples * sum(widths)
+        found += sum(len(vals) for _, _, _, vals in amoeba._sweep(q, w))
+    assert 1 - found / total <= 0.40

@@ -2,8 +2,9 @@
 
 ``full_sweep`` is the sweep as it was before the symmetry was used: it solves
 all N angles of every column.  It is kept here as an independent oracle.
-Swapped in for ``amoeba._sweep`` it gives the rasters and clouds of the full
-sweep, which the half sweep must reproduce.
+Swapped in for ``amoeba._sweep``, and as one-column blocks for
+``moment._sweep_blocks``, it gives the rasters and clouds of the full sweep,
+which the half sweep must reproduce.
 """
 
 import numpy as np
@@ -55,9 +56,20 @@ def oracle_raster(p, w):
 
 
 def oracle_cloud(p, w):
+    """The cloud of ``full_sweep``, each column a block of one column whose
+    samples are one root each of solved angles, none mirrored."""
+    columns = []
+
+    def full_sweep_blocks(p, w):
+        for axis, i, u, vals in full_sweep(p, w):
+            columns.append(i)
+            yield axis, np.array([i]), np.array([u]), vals.reshape(1, -1, 1), 0
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(moment, "_sweep", full_sweep)
-        return rasterize_wca(p, w).points
+        mp.setattr(moment, "_sweep_blocks", full_sweep_blocks)
+        points = rasterize_wca(p, w).points
+    assert len(columns) == 2 * w.resolution  # the oracle, not the sweep under test, ran
+    return points
 
 
 def rows_per_solve(monkeypatch):
